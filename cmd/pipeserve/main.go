@@ -17,6 +17,10 @@
 // or t26 (2-6 trees, batch-synchronous). -shards range-partitions the
 // key space of [0, -universe) across that many independent roots.
 //
+// Request bodies over serve.MaxBodyBytes answer 413. Connections that
+// send headers too slowly, bodies too slowly, or idle too long are
+// closed (see newHTTPServer).
+//
 // Shed load answers 429 (over the high-water mark) or 503 (draining).
 // SIGINT/SIGTERM triggers a graceful drain: stop admitting, finish every
 // admitted request, quiesce the scheduler, exit.
@@ -52,7 +56,7 @@ func main() {
 		p          = flag.Int("p", runtime.GOMAXPROCS(0), "scheduler worker count")
 		highWater  = flag.Int("highwater", serve.DefaultHighWater, "admission high-water mark (backlog at which requests shed)")
 		spawnDepth = flag.Int("spawndepth", 0, "algorithm spawn depth (0 = default grain)")
-		cutoff     = flag.Int("cutoff", 0, "grain cutoff: subtree size served by one chunk cell (0 = default, negative = off; treap backend, seqsafe-proven entries only)")
+		cutoff     = flag.Int("cutoff", 0, "grain cutoff: subtree size served by one chunk cell (0 = default, negative = off; treap backend only)")
 		backend    = flag.String("backend", "treap", "per-shard store: treap (pipelined) or t26 (batch-synchronous)")
 		shards     = flag.Int("shards", 1, "independent shard roots the key space is range-partitioned across")
 		universe   = flag.Int("universe", serve.DefaultUniverse, "dense key range hint [0,universe) for placing shard pivots")
@@ -120,7 +124,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("pipeserve: open: %v", err)
 	}
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := newHTTPServer(*addr, s.Handler())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -151,6 +155,30 @@ func main() {
 	}
 }
 
+// Connection timeouts: a client gets readHeaderTimeout to send its
+// headers and readTimeout for the whole request, body included (enough
+// for a MaxBodyBytes body at 0.3 Mbit/s); an idle keep-alive connection
+// is closed after idleTimeout. Response
+// writes are not capped: a DAG answer waits on the pipeline, and
+// admission control bounds that wait.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection timeouts
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runSmoke drives the server end to end over a real loopback socket: a
 // mixed mutation/read batch, a metrics scrape asserting scheduler
 // activity, and a clean drain.
@@ -160,7 +188,7 @@ func runSmoke(cfg serve.Config) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer("", s.Handler())
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 

@@ -6,8 +6,8 @@ package flow
 // already been SEQUENCED before it — by straight-line order, by a call
 // that writes the cell on every path before returning, or because the
 // cell arrives prewritten (Done/NowCell) or materialized from the
-// caller. A forwarded flow never suspends, so its cells can be compiled
-// to sched.ForwardedCell, which has no suspension machinery at all.
+// caller. A forwarded flow never suspends: every touch finds its cell
+// already written.
 //
 // The analysis is deliberately stricter than mustwrite's "handled"
 // discipline: mustwrite discharges a cell once a CONCURRENT producer is

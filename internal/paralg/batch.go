@@ -17,7 +17,6 @@ import (
 // the tree is still under construction, so queries and further set
 // operations can start immediately. ctx follows the Fork contract.
 func (c RConfig) BuildTreap(ctx Ctx, keys []int) NodeCell {
-	c = c.classed("paralg.RConfig.BuildTreap")
 	return c.rbuildTreap(ctx, 0, keys)
 }
 
@@ -28,16 +27,16 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 		// chunk cell — zero scheduler cells instead of one per node —
 		// and decomposes lazily only if a pipelined consumer needs it.
 		t := seqtreap.FromKeys(keys)
-		if c.cutoff > 0 {
+		if c.GrainCutoff > 0 {
 			return chunkCell(t)
 		}
 		return RFromSeqTreap(c.R, t)
 	}
 	half := len(keys) / 2
-	a := c.newNode()
+	a := c.R.NewNode()
 	c.fork(ctx, d, func(ctx Ctx) { c.rbuildTreap(ctx, d+1, keys[:half]).Touch(ctx, a.Write) })
 	b := c.rbuildTreap(ctx, d+1, keys[half:])
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.unionInto(ctx, d, a, b, out)
 	return out
 }
@@ -46,8 +45,7 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 // union — the batch entry the serving layer coalesces insert requests
 // into.
 func (c RConfig) InsertKeys(ctx Ctx, tree NodeCell, keys []int) NodeCell {
-	c = c.classed("paralg.RConfig.InsertKeys")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.unionInto(ctx, 0, tree, c.BuildTreap(ctx, keys), out)
 	return out
 }
@@ -55,7 +53,6 @@ func (c RConfig) InsertKeys(ctx Ctx, tree NodeCell, keys []int) NodeCell {
 // DeleteKeys returns the treap with all keys removed, as one pipelined
 // difference.
 func (c RConfig) DeleteKeys(ctx Ctx, tree NodeCell, keys []int) NodeCell {
-	c = c.classed("paralg.RConfig.DeleteKeys")
 	return c.Diff(ctx, tree, c.BuildTreap(ctx, keys))
 }
 

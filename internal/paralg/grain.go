@@ -15,18 +15,17 @@ package paralg
 // twin of the whole operation, producing a new chunk — a single
 // frontier cell per coarsened subtree where the pipelined path would
 // allocate one cell per node. Sequential-twin safety is a STATIC
-// verdict: RConfig.GrainCutoff is honored only for entry points whose
-// twins the cellcost analysis proved cell-free (verdict.SeqSafeOf,
-// manifest section cell_budget.seqsafe); everything else fails closed
-// to the pipelined path. internal/verifycross re-proves the claim
-// dynamically (zero cells below cutoff, budgets respected above).
+// verdict: every entry point that reads RConfig.GrainCutoff has twins
+// the cellcost analysis proved cell-free (manifest section
+// cell_budget.seqsafe). internal/verifycross fails if an entry point
+// lacks that proof without being listed as never coarsening, and
+// re-proves the claim dynamically (zero cells below cutoff, budgets
+// respected above).
 //
-// Chunk cells are sound under every CellDiscipline: they never suspend
-// a continuation (nothing is ever pending on a born-written cell), so
-// the linear/forwarded contracts hold vacuously, and the lazy expansion
-// race is benign — RNodes are immutable, seqtreap subtrees are shared
-// persistently, and a CAS loser's node is discarded before anyone sees
-// it.
+// Chunk cells never suspend a continuation (nothing is ever pending on
+// a born-written cell), and the lazy expansion race is benign — RNodes
+// are immutable, seqtreap subtrees are shared persistently, and a CAS
+// loser's node is discarded before anyone sees it.
 
 import (
 	"sync/atomic"
@@ -114,14 +113,14 @@ func sizeUpTo(t *seqtreap.Node, cap int) int {
 // or when the chunk is too big to swallow sequentially — a big chunk
 // instead decomposes lazily through Touch until its subtrees fit.
 func (c RConfig) chunkArg(t NodeCell) (*seqtreap.Node, bool) {
-	if c.cutoff <= 0 {
+	if c.GrainCutoff <= 0 {
 		return nil, false
 	}
 	cc, ok := t.(chunkNodeCell)
 	if !ok {
 		return nil, false
 	}
-	if sizeUpTo(cc.ch.t, c.cutoff) < 0 {
+	if sizeUpTo(cc.ch.t, c.GrainCutoff) < 0 {
 		return nil, false
 	}
 	return cc.ch.t, true

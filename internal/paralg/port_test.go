@@ -1,6 +1,7 @@
 package paralg
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -144,5 +145,44 @@ func TestPortSchedSuspensionsBalance(t *testing.T) {
 	}
 	if ctr.Spawns == 0 {
 		t.Fatal("no tasks spawned at SpawnDepth=32")
+	}
+}
+
+// TestDeprecatedDisciplineIsInert pins RConfig.Discipline as a no-op:
+// the benchmark harness still replays the t26 backend with
+// Discipline: LinearCells, so that config must compute the same trees
+// and allocate the same scheduler cells as the zero value, on the
+// treap composition (build, insert, delete) and the 2-6-tree bulk
+// insert alike.
+func TestDeprecatedDisciplineIsInert(t *testing.T) {
+	rng := workload.NewRNG(11)
+	ka, kb := workload.DisjointKeySets(rng, 400, 300)
+	all := workload.DistinctKeys(rng, 500, 2000)
+	base, ins := all[:200], append([]int(nil), all[200:]...)
+	sort.Ints(ins)
+
+	run := func(disc CellDiscipline) (treap *seqtreap.Node, tree *t26.Node, cells int64) {
+		s := NewSchedRuntime(4)
+		defer s.Close()
+		cfg := RConfig{R: s, SpawnDepth: 6, Discipline: disc}
+		tr := cfg.InsertKeys(nil, cfg.BuildTreap(nil, ka), kb)
+		treap = RToSeqTreap(cfg.DeleteKeys(nil, tr, ka[:200]))
+		tree = RToSeqT26(cfg.T26BulkInsert(nil, RFromSeqT26(s, t26.FromKeys(base)), workload.WellSeparatedLevels(ins)))
+		return treap, tree, s.RT.Counters().CellsShared
+	}
+	treap0, tree0, cells0 := run(0)
+	treapL, treeL, cellsL := run(LinearCells)
+
+	want := seqtreap.Diff(seqtreap.Union(seqtreap.FromKeys(ka), seqtreap.FromKeys(kb)), seqtreap.FromKeys(ka[:200]))
+	if !seqtreap.Equal(treap0, want) || !seqtreap.Equal(treapL, want) {
+		t.Error("build/insert/delete composition disagrees with the sequential oracle")
+	}
+	wantKeys := append(append([]int(nil), base...), ins...)
+	sort.Ints(wantKeys)
+	if !slices.Equal(t26.Keys(tree0), wantKeys) || !slices.Equal(t26.Keys(treeL), wantKeys) {
+		t.Error("t26 bulk insert disagrees with the sequential oracle")
+	}
+	if cells0 != cellsL {
+		t.Errorf("Discipline changed the cell count: %d with the zero value, %d with LinearCells", cells0, cellsL)
 	}
 }

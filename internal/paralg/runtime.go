@@ -18,7 +18,6 @@ import (
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
 	"pipefut/internal/t26"
-	"pipefut/internal/verdict"
 )
 
 // Ctx is the opaque per-task scheduling context. The Go runtime ignores
@@ -88,30 +87,28 @@ type RConfig struct {
 	// forks at recursion depth < SpawnDepth become runtime tasks, deeper
 	// ones run inline in the caller.
 	SpawnDepth int
-	// Discipline declares how the caller consumes the produced cell
-	// trees; the zero value (SharedCells) disables cell specialization.
-	// See variants.go.
+	// Deprecated: no effect; kept only because the benchmark harness names them.
 	Discipline CellDiscipline
 	// GrainCutoff coarsens below-cutoff subtrees into chunk cells (see
 	// grain.go): subtrees of at most GrainCutoff nodes are built and
 	// combined by the plain sequential seqtreap code behind a single
-	// born-written cell, instead of one scheduler cell per node. The
-	// zero value disables coarsening. The knob is honored ONLY for
-	// entry points whose sequential twins carry the manifest's seqsafe
-	// proof (verdict.SeqSafeOf); other entries ignore it, failing
-	// closed to the fully pipelined path.
+	// born-written cell, instead of one scheduler cell per node. Zero or
+	// negative disables coarsening. Every entry point that reads it
+	// carries the verdict manifest's seqsafe proof; the 2-6-tree entries
+	// never coarsen. internal/verifycross fails if a new entry point
+	// lacks either (TestSeqSafeCoversEveryCoarsenedEntry).
 	GrainCutoff int
-	// class is the verdict-manifest flow class of the entry point this
-	// config copy is serving, stamped by classed.
-	class verdict.Class
-	// vr is non-nil when class, Discipline, and the runtime all permit
-	// specialized cells; resolved once in classed.
-	vr VariantRuntime
-	// cutoff is GrainCutoff after the seqsafe gate: non-zero only when
-	// the entry point's sequential twins are proven cell-free, resolved
-	// once in classed.
-	cutoff int
 }
+
+// CellDiscipline once selected specialized cell variants per call.
+//
+// Deprecated: no effect; kept only because the benchmark harness names them.
+type CellDiscipline int
+
+// LinearCells is a CellDiscipline value.
+//
+// Deprecated: no effect; kept only because the benchmark harness names them.
+const LinearCells CellDiscipline = 1
 
 // fork runs f as a task when the depth is above the grain, else inline.
 func (c RConfig) fork(ctx Ctx, d int, f func(Ctx)) {

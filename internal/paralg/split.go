@@ -13,7 +13,6 @@ package paralg
 // rsplit of Figure 12 in CPS form); t may itself still be under
 // construction. ctx follows the Fork contract.
 func (c RConfig) Split(ctx Ctx, t NodeCell, pivot int) (lt, ge NodeCell) {
-	c = c.classed("paralg.RConfig.Split")
 	return c.rsplit(ctx, 0, pivot, t)
 }
 
@@ -25,7 +24,6 @@ func (c RConfig) Split(ctx Ctx, t NodeCell, pivot int) (lt, ge NodeCell) {
 // side is still materializing — so the whole partition is one pipeline,
 // not len(pivots) barriers. With no pivots the result is just {t}.
 func (c RConfig) SplitRanges(ctx Ctx, t NodeCell, pivots []int) []NodeCell {
-	c = c.classed("paralg.RConfig.SplitRanges")
 	out := make([]NodeCell, 0, len(pivots)+1)
 	rest := t
 	for i, p := range pivots {

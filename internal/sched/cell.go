@@ -62,6 +62,17 @@ func Done[T any](v T) *Cell[T] {
 	return c
 }
 
+// DoneOn is Done with the allocation counted in rt's CellsShared. The
+// cell still belongs to no runtime (born written, it never has
+// waiters); rt is only the accounting target, so per-runtime cell
+// deltas include converter-built input trees. A nil rt counts nowhere.
+func DoneOn[T any](rt *Runtime, v T) *Cell[T] {
+	if rt != nil {
+		rt.cellsShared.Add(1)
+	}
+	return Done(v)
+}
+
 // Write stores v, then requeues every suspended continuation onto w's
 // deque (or the injection queue when w is nil). w follows the Fork
 // contract: the worker the caller is running on, or nil from outside.

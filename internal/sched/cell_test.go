@@ -96,6 +96,31 @@ func TestDoneCell(t *testing.T) {
 	}
 }
 
+// TestDoneOn pins the born-written path the paralg converters use: a
+// DoneOn cell behaves like a Done cell, survives its runtime's shutdown,
+// and is counted in CellsShared (and only there).
+func TestDoneOn(t *testing.T) {
+	rt := NewRuntime(1)
+	before := rt.Counters()
+	c := DoneOn(rt, 7)
+	d := rt.Counters().Sub(before)
+	if d.CellsShared != 1 || d.CellsLinear != 0 || d.CellsForwarded != 0 {
+		t.Fatalf("DoneOn counted cells=%d/%d/%d, want 1/0/0", d.CellsShared, d.CellsLinear, d.CellsForwarded)
+	}
+	ran := false
+	c.Touch(nil, func(_ *Worker, v int) { ran = v == 7 })
+	if !ran {
+		t.Fatal("Touch on a DoneOn cell must run inline")
+	}
+	rt.Shutdown()
+	if v, err := c.ReadErr(); err != nil || v != 7 {
+		t.Fatalf("ReadErr after Shutdown = %d, %v; want 7, nil", v, err)
+	}
+	if got := DoneOn[int](nil, 3).Read(); got != 3 {
+		t.Fatalf("DoneOn(nil) reads %d, want 3", got)
+	}
+}
+
 // TestCellTouchWriteRace hammers the suspend/write race: many cells, each
 // with concurrent touchers racing one writer; every continuation must run
 // exactly once.

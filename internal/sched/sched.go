@@ -91,14 +91,12 @@ type Runtime struct {
 	extern wstats // scheduling events attributed to no worker
 	wg     sync.WaitGroup
 
-	// Cell allocations by variant. These live on the Runtime rather than
-	// in the per-worker wstats blocks because the cell constructors take
+	// Cell allocations. The count lives on the Runtime rather than in
+	// the per-worker wstats blocks because the cell constructors take
 	// the runtime, not a worker (cells are created from converters and
 	// external callers as often as from tasks). Allocating a cell already
 	// costs a heap allocation, so one shared atomic increment is noise.
-	cellsShared    atomic.Int64
-	cellsLinear    atomic.Int64
-	cellsForwarded atomic.Int64
+	cellsShared atomic.Int64
 }
 
 // Worker is the scheduling context of one worker goroutine. Tasks receive
@@ -662,14 +660,6 @@ type wstats struct {
 	tasks         atomic.Int64
 	busyNanos     atomic.Int64
 
-	// Specialized-cell events (verdict-driven cell specialization):
-	// touches served by LinearCell / ForwardedCell, and the subset of
-	// linear touches that parked in the single slot. suspensions above
-	// includes linearSuspensions.
-	linearTouches     atomic.Int64
-	linearSuspensions atomic.Int64
-	forwardedTouches  atomic.Int64
-
 	// Locality events: deviations per Herlihy & Liu (tasks acquired that
 	// this worker neither spawned nor resumed from its own deque — every
 	// steal, every injection pickup, every cross-worker reactivation)
@@ -678,7 +668,7 @@ type wstats struct {
 	deviations  atomic.Int64
 	mailboxHits atomic.Int64
 
-	_ [24]byte // pad to a multiple of a cache line
+	_ [48]byte // pad to a multiple of a cache line (TestWstatsPadded)
 }
 
 // Counters is a snapshot of the runtime's scheduling statistics.
@@ -689,20 +679,16 @@ type Counters struct {
 	Reactivations int64 // suspended continuations requeued by a write
 	Tasks         int64 // task closures executed to completion
 	MaxDeque      int64 // deepest any worker deque ever got
-	// Specialized-cell observability: touches served by linear /
-	// forwarded cells, and how many linear touches actually parked.
-	// Suspensions includes LinearSuspensions; a touch on a general Cell
-	// appears in neither touch counter.
-	LinearTouches     int64
-	LinearSuspensions int64
-	ForwardedTouches  int64
-	// Cell allocations by variant (NewCell / NewLinearCell /
-	// NewForwardedCell+ForwardedDone[On]). The dynamic budget lane of
-	// internal/verifycross checks these against the static CellBudget
-	// manifest; pipebench reports their sum as the "cells" column.
-	CellsShared    int64
-	CellsLinear    int64
-	CellsForwarded int64
+	// CellsShared counts cell allocations (NewCell, Spawn, DoneOn).
+	// The dynamic budget lane of internal/verifycross checks it against
+	// the static CellBudget manifest; pipebench reports it as the
+	// "cells" column.
+	CellsShared int64
+	// CellsLinear and CellsForwarded always read 0: the runtime has one
+	// cell type, counted in CellsShared.
+	//
+	// Deprecated: no effect; kept only because the benchmark harness names them.
+	CellsLinear, CellsForwarded int64
 	// Deviations counts task acquisitions that break locality, per
 	// Herlihy & Liu's "Well-Structured Futures and Cache Locality": a
 	// worker executing a task it neither spawned nor resumed from its
@@ -739,9 +725,6 @@ func (rt *Runtime) Counters() Counters {
 		c.Suspensions += s.suspensions.Load()
 		c.Reactivations += s.reactivations.Load()
 		c.Tasks += s.tasks.Load()
-		c.LinearTouches += s.linearTouches.Load()
-		c.LinearSuspensions += s.linearSuspensions.Load()
-		c.ForwardedTouches += s.forwardedTouches.Load()
 		c.Deviations += s.deviations.Load()
 		c.MailboxHits += s.mailboxHits.Load()
 		if m := s.maxDeque.Load(); m > c.MaxDeque {
@@ -750,8 +733,6 @@ func (rt *Runtime) Counters() Counters {
 	}
 	add(&rt.extern)
 	c.CellsShared = rt.cellsShared.Load()
-	c.CellsLinear = rt.cellsLinear.Load()
-	c.CellsForwarded = rt.cellsForwarded.Load()
 	now := time.Now().UnixNano()
 	for _, w := range rt.workers {
 		add(&w.stats)
@@ -800,12 +781,7 @@ func (c Counters) Sub(prev Counters) Counters {
 	out.Suspensions -= prev.Suspensions
 	out.Reactivations -= prev.Reactivations
 	out.Tasks -= prev.Tasks
-	out.LinearTouches -= prev.LinearTouches
-	out.LinearSuspensions -= prev.LinearSuspensions
-	out.ForwardedTouches -= prev.ForwardedTouches
 	out.CellsShared -= prev.CellsShared
-	out.CellsLinear -= prev.CellsLinear
-	out.CellsForwarded -= prev.CellsForwarded
 	out.Deviations -= prev.Deviations
 	out.MailboxHits -= prev.MailboxHits
 	out.BusyNanos = subSlice(c.BusyNanos, prev.BusyNanos)
@@ -829,9 +805,7 @@ func subSlice(a, b []int64) []int64 {
 
 // String renders the aggregate counters on one line.
 func (c Counters) String() string {
-	return fmt.Sprintf("spawns=%d steals=%d susp=%d react=%d tasks=%d maxdeq=%d lin=%d/%d fwd=%d cells=%d/%d/%d dev=%d mbox=%d",
+	return fmt.Sprintf("spawns=%d steals=%d susp=%d react=%d tasks=%d maxdeq=%d cells=%d dev=%d mbox=%d",
 		c.Spawns, c.Steals, c.Suspensions, c.Reactivations, c.Tasks, c.MaxDeque,
-		c.LinearTouches, c.LinearSuspensions, c.ForwardedTouches,
-		c.CellsShared, c.CellsLinear, c.CellsForwarded,
-		c.Deviations, c.MailboxHits)
+		c.CellsShared, c.Deviations, c.MailboxHits)
 }

@@ -5,7 +5,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestWstatsPadded keeps each worker's counter block a whole number of
+// cache lines, so neighbouring workers' blocks never share a line.
+// Adding or removing a counter means recomputing the trailing pad.
+func TestWstatsPadded(t *testing.T) {
+	if n := unsafe.Sizeof(wstats{}); n%64 != 0 {
+		t.Fatalf("sizeof(wstats) = %d bytes, not a multiple of 64", n)
+	}
+}
 
 // treeSum forks a binary tree of tasks of the given depth and sums one
 // per leaf — a pure fork/join load with 2^depth leaves.

@@ -108,29 +108,20 @@ type Backend interface {
 	DAGKeys(v any) []int
 }
 
-// newBackend resolves a backend name ("" defaults to treap). Each
-// backend pins the cell discipline its access pattern can honor, so a
-// caller-supplied RConfig cannot mis-claim one (see paralg.CellDiscipline).
+// newBackend resolves a backend name ("" defaults to treap).
 func newBackend(name string, pc paralg.RConfig) (Backend, error) {
 	switch name {
 	case "", "treap":
 		// The treap backend publishes pipelined roots: Ready parks on an
 		// unwritten root and query walks touch cells of trees that are
 		// still materializing, concurrently with the applier's next
-		// mutation consuming the same root. Cells are shared; the
-		// general Cell's waiter list is load-bearing here.
-		pc.Discipline = paralg.SharedCells
+		// mutation consuming the same root. The cell's waiter list is
+		// load-bearing here.
 		return treapBackend{pc: pc}, nil
 	case "t26":
-		// Apply barriers on full materialization (RWaitT26) before a
-		// state is published, so a fresh cell only ever sees the insert
-		// chain's single pre-write touch; queries arrive post-write.
-		// That is the linear-cells contract, and it buys the t26 run
-		// specialized cells.
-		pc.Discipline = paralg.LinearCells
 		// Grain coarsening targets the treap's one-cell-per-node cost;
-		// the t26 entries carry no seqsafe proof, so the knob could
-		// never fire here — zero it to keep the config honest.
+		// the 2-6-tree entries never coarsen, so the knob could never
+		// fire here — zero it to keep the config honest.
 		pc.GrainCutoff = 0
 		return t26Backend{pc: pc}, nil
 	default:

@@ -3,13 +3,23 @@ package serve
 // The HTTP/JSON boundary: one mutation/query endpoint, an operation-DAG
 // endpoint, plus metrics and a verification keys dump. Errors map onto
 // status codes the way a load balancer expects: 400 for malformed
-// requests (don't retry), 429 for shed load, 503 for draining.
+// requests (don't retry), 413 for oversize bodies, 429 for shed load,
+// 503 for draining.
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
+
+// MaxBodyBytes caps a POST /op or /dag body. The decoder stops reading
+// at the cap, so an oversize request costs at most this much memory
+// and gets ErrBodyTooLarge (413).
+const MaxBodyBytes = 1 << 20
+
+// ErrBodyTooLarge marks a request body over MaxBodyBytes.
+var ErrBodyTooLarge = errors.New("serve: request body too large")
 
 // OpRequest is the JSON body of POST /op.
 type OpRequest struct {
@@ -67,10 +77,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// decodeBody decodes a JSON request body of at most MaxBodyBytes into
+// v. Its error wraps ErrBodyTooLarge or ErrBadRequest.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: limit is %d bytes", ErrBodyTooLarge, MaxBodyBytes)
+	default:
+		return fmt.Errorf("%w: bad request body: %v", ErrBadRequest, err)
+	}
+}
+
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	var req OpRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad request body: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeJSON(w, statusFor(err), errResponse{Error: err.Error()})
 		return
 	}
 	var resp OpResponse
@@ -99,8 +124,8 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDAG(w http.ResponseWriter, r *http.Request) {
 	var req DAGRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad request body: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeJSON(w, statusFor(err), errResponse{Error: err.Error()})
 		return
 	}
 	res, err := s.EvalDAG(req)
@@ -135,12 +160,14 @@ func (s *Server) handleKeys(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statusFor maps serving errors to HTTP codes: malformed requests are
-// 400 (client bug, don't retry), shed load is 429 (retry later),
-// draining is 503 (this instance is going away).
+// 400 (client bug, don't retry), oversize bodies 413, shed load is 429
+// (retry later), draining is 503 (this instance is going away).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):

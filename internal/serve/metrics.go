@@ -131,21 +131,12 @@ type Metrics struct {
 	Deviations  int64 `json:"deviations"`
 	MailboxHits int64 `json:"mailbox_hits"`
 
-	// Specialized-cell traffic (see DESIGN.md "Verdict-driven cell
-	// specialization"): nonzero LinearTouches means the backend's pinned
-	// discipline let the verdict manifest swap in cheaper cell variants.
-	LinearTouches     int64 `json:"linear_touches"`
-	LinearSuspensions int64 `json:"linear_suspensions"`
-	ForwardedTouches  int64 `json:"forwarded_touches"`
-
-	// Scheduler cells allocated, by variant. GrainCutoff is the server's
-	// effective cell-amortization grain; raising it should push these
-	// counts down on the treap backend (subtrees below the cutoff ride
-	// behind chunk cells the scheduler never sees).
-	GrainCutoff    int   `json:"grain_cutoff"`
-	CellsShared    int64 `json:"cells_shared"`
-	CellsLinear    int64 `json:"cells_linear"`
-	CellsForwarded int64 `json:"cells_forwarded"`
+	// Scheduler cells allocated. GrainCutoff is the server's effective
+	// cell-amortization grain; raising it should push the count down on
+	// the treap backend (subtrees below the cutoff ride behind chunk
+	// cells the scheduler never sees).
+	GrainCutoff int   `json:"grain_cutoff"`
+	CellsShared int64 `json:"cells_shared"`
 
 	// Durability counters (internal/persist; zero values with
 	// persistence off). Persist names the fsync policy, "" = off.
@@ -235,12 +226,7 @@ func (s *Server) Metrics() Metrics {
 	m.BusyNanos = c.BusyNanos
 	m.Deviations = c.Deviations
 	m.MailboxHits = c.MailboxHits
-	m.LinearTouches = c.LinearTouches
-	m.LinearSuspensions = c.LinearSuspensions
-	m.ForwardedTouches = c.ForwardedTouches
 	m.GrainCutoff = s.cfg.GrainCutoff
 	m.CellsShared = c.CellsShared
-	m.CellsLinear = c.CellsLinear
-	m.CellsForwarded = c.CellsForwarded
 	return m
 }

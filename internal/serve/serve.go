@@ -89,9 +89,9 @@ type Config struct {
 	// GrainCutoff is the cell-amortization grain (paralg.RConfig.GrainCutoff):
 	// subtrees of at most this many nodes ride behind a single chunk cell
 	// instead of one scheduler cell per node. 0 picks DefaultGrainCutoff;
-	// negative disables coarsening. The knob only ever activates for entry
-	// points the verdict manifest proves seqsafe, so a stale manifest
-	// degrades to the fully pipelined plan rather than to wrong answers.
+	// negative disables coarsening. Only entry points the verdict manifest
+	// proves seqsafe read it (a CI test enforces this); the t26 backend
+	// ignores it.
 	GrainCutoff int
 	// HighWater is the global admission bound, divided evenly across
 	// shards: shard i sheds when its share of the scheduler backlog plus

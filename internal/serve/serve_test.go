@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -399,6 +400,41 @@ func TestHTTPHandler(t *testing.T) {
 	s.Close()
 	if rec := post(`{"op":"union","keys":[1]}`); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("post-Close op: status %d, want 503", rec.Code)
+	}
+}
+
+// TestHTTPBodyCap sends /op and /dag bodies one byte over MaxBodyBytes
+// and expects a typed 413; a body just under the cap still decodes. The
+// padding is JSON whitespace inside the object, so only the size
+// differs between the two requests.
+func TestHTTPBodyCap(t *testing.T) {
+	s := New(Config{P: 2, Shards: 2, Universe: 100})
+	defer s.Close()
+	h := s.Handler()
+
+	padded := func(head string, size int) string {
+		return head + strings.Repeat(" ", size-len(head)-1) + "}"
+	}
+	for _, tc := range []struct{ path, head string }{
+		{"/op", `{"op":"len"`},
+		{"/dag", `{"nodes":[{"ref":"set"}]`},
+	} {
+		post := func(body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(body)))
+			return rec
+		}
+		if rec := post(padded(tc.head, MaxBodyBytes)); rec.Code != http.StatusOK {
+			t.Errorf("%s: body at the cap: status %d body %.200s, want 200", tc.path, rec.Code, rec.Body)
+		}
+		rec := post(padded(tc.head, MaxBodyBytes+1))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: body over the cap: status %d, want 413", tc.path, rec.Code)
+		}
+		var er errResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, ErrBodyTooLarge.Error()) {
+			t.Errorf("%s: 413 body %s (err %v), want the ErrBodyTooLarge message", tc.path, rec.Body, err)
+		}
 	}
 }
 

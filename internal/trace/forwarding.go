@@ -11,15 +11,15 @@ import (
 // write by CONTROL edges alone (thread and fork edges), without relying
 // on the touch's own data edge.
 //
-// This is exactly the property a forwarded cell (sched.ForwardedCell)
-// needs to be sound: a forwarded cell has no suspension machinery, so
-// the data edge the general cell would create by parking a continuation
-// does not exist as a scheduling constraint. The write must therefore
-// be ordered before the touch by the rest of the DAG — a control path —
-// or some schedule runs the touch first and the specialization is a
-// class violation. The verdict is deliberately conservative: it ignores
-// ALL data edges (even other cells'), because data edges of a
-// specialized flow are value-flow records, not scheduling constraints.
+// This is the dynamic half of the manifest's forwarded class (see
+// internal/verdict): a forwarded flow claims it never needs a cell's
+// suspension machinery, so the data edge a parked continuation would
+// create cannot be counted as a scheduling constraint. The write must
+// therefore be ordered before the touch by the rest of the DAG — a
+// control path — or some schedule runs the touch first and the claim is
+// wrong. The verdict is deliberately conservative: it ignores ALL data
+// edges (even other cells'), treating them as value-flow records, not
+// scheduling constraints.
 type Forwarding struct {
 	// TouchedCells counts cells with at least one recorded touch.
 	TouchedCells int

@@ -331,8 +331,8 @@ func reachableFuncs(entry *ssa.Func) map[*ssa.Func]bool {
 
 // touchesCells reports whether any reachable instruction performs a
 // recognized cell operation the flow classes constrain. Probes are
-// deliberately excluded: an entry that only probes cells claims nothing
-// a cell variant could violate, and stays Unanalyzed.
+// deliberately excluded: an entry that only probes cells has no flow a
+// class could constrain, and stays Unanalyzed.
 func touchesCells(reach map[*ssa.Func]bool) bool {
 	for fn := range reach {
 		for _, b := range fn.Blocks {

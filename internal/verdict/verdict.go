@@ -1,14 +1,20 @@
-// Package verdict cashes in pipelint's static flow analyses as a runtime
-// contract. A checked-in manifest (verdicts.json, regenerated by
-// `pipelint -verdicts`) assigns every verified algorithm entry point a
-// flow CLASS — how many touches of a future cell may happen before the
-// cell's write — and internal/paralg uses the class to allocate the
-// matching specialized sched cell variant:
+// Package verdict records pipelint's static flow analyses as a
+// test-time contract. A checked-in manifest (verdicts.json, regenerated
+// by `pipelint -verdicts`) assigns every verified algorithm entry point
+// a flow CLASS — how many touches of a future cell may happen before the
+// cell's write:
 //
-//	class      pre-write touches   cell variant
-//	general    unbounded           sched.Cell       (Treiber waiter stack)
-//	linear     at most one         sched.LinearCell (single parked slot)
-//	forwarded  none                sched.ForwardedCell (no suspension)
+//	class      pre-write touches
+//	general    unbounded
+//	linear     at most one
+//	forwarded  none
+//
+// The runtime does not read the manifest: it has one cell type
+// (sched.Cell), sound for every class. The classes are checked against
+// recorded DAGs by internal/verifycross (CheckTrace), and the manifest's
+// seqsafe bits are the proofs every grain-coarsening entry point of
+// internal/paralg must carry (verifycross
+// TestSeqSafeCoversEveryCoarsenedEntry).
 //
 // The ladder is a real contract inclusion: every forwarded flow is a
 // legal linear flow, and every linear flow is a legal general flow, so
@@ -267,12 +273,12 @@ func ClassOf(entry string) Class {
 
 // CheckTrace verifies that a recorded DAG satisfies a claimed class,
 // returning a descriptive error when it does not. This is the dynamic
-// half of the specialization safety proof: verifycross runs it for every
-// witness group against the group's manifest class.
+// half of the manifest's claims: verifycross runs it for every witness
+// group against the group's manifest class.
 //
 // Note Forwarded does NOT imply the Linearity check: a forwarded flow
 // may touch a written cell many times (post-write touches are
-// unrestricted on every variant); its claim is only that no touch
+// unrestricted); its claim is only that no touch
 // precedes the write.
 func CheckTrace(c Class, tr *trace.Trace) error {
 	switch c {

