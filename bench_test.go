@@ -140,7 +140,12 @@ func BenchmarkMachineSchedule(b *testing.B) {
 
 // --- real-execution benchmarks (E-SPEED / A-GRAIN) ------------------------
 
-func parInputs(n int) (t1, t2 paralg.Tree, u1, u2 paralg.Tree, sa, sb *seqtree.Node, ta, tb *seqtreap.Node) {
+// goCfg runs the real-execution benchmarks on goroutines.
+func goCfg(spawnDepth int) paralg.RConfig {
+	return paralg.RConfig{R: paralg.GoRuntime{}, SpawnDepth: spawnDepth}
+}
+
+func parInputs(n int) (t1, t2 paralg.NodeCell, u1, u2 paralg.NodeCell, sa, sb *seqtree.Node, ta, tb *seqtreap.Node) {
 	rng := workload.NewRNG(42)
 	ka, kb := workload.DisjointKeySets(rng, n, n)
 	sort.Ints(ka)
@@ -148,17 +153,18 @@ func parInputs(n int) (t1, t2 paralg.Tree, u1, u2 paralg.Tree, sa, sb *seqtree.N
 	sa, sb = seqtree.FromSortedBalanced(ka), seqtree.FromSortedBalanced(kb)
 	ua, ub := workload.OverlappingKeySets(rng, n, n, 0.25)
 	ta, tb = seqtreap.FromKeys(ua), seqtreap.FromKeys(ub)
-	return paralg.FromSeqTree(sa), paralg.FromSeqTree(sb),
-		paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tb), sa, sb, ta, tb
+	rt := paralg.GoRuntime{}
+	return paralg.RFromSeqTree(rt, sa), paralg.RFromSeqTree(rt, sb),
+		paralg.RFromSeqTreap(rt, ta), paralg.RFromSeqTreap(rt, tb), sa, sb, ta, tb
 }
 
 // BenchmarkParMerge — real future-based merge on goroutines.
 func BenchmarkParMerge(b *testing.B) {
 	t1, t2, _, _, _, _, _, _ := parInputs(1 << 15)
-	cfg := paralg.DefaultConfig
+	cfg := goCfg(paralg.DefaultSpawnDepth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.Wait(cfg.Merge(t1, t2))
+		paralg.RWait(cfg.Merge(nil, t1, t2))
 	}
 }
 
@@ -173,10 +179,10 @@ func BenchmarkSeqMerge(b *testing.B) {
 // BenchmarkParUnion — real future-based treap union on goroutines.
 func BenchmarkParUnion(b *testing.B) {
 	_, _, u1, u2, _, _, _, _ := parInputs(1 << 15)
-	cfg := paralg.DefaultConfig
+	cfg := goCfg(paralg.DefaultSpawnDepth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.Wait(cfg.Union(u1, u2))
+		paralg.RWait(cfg.Union(nil, u1, u2))
 	}
 }
 
@@ -193,10 +199,10 @@ func BenchmarkSeqUnion(b *testing.B) {
 func BenchmarkParMergeGrain(b *testing.B) {
 	t1, t2, _, _, _, _, _, _ := parInputs(1 << 15)
 	for _, d := range []int{0, 8, 16} {
-		cfg := paralg.Config{SpawnDepth: d}
+		cfg := goCfg(d)
 		b.Run(map[int]string{0: "seq", 8: "d8", 16: "d16"}[d], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				paralg.Wait(cfg.Merge(t1, t2))
+				paralg.RWait(cfg.Merge(nil, t1, t2))
 			}
 		})
 	}
@@ -234,11 +240,11 @@ func BenchmarkParT26BulkInsert(b *testing.B) {
 	ins := append([]int(nil), all[1<<14:]...)
 	sort.Ints(ins)
 	levels := workload.WellSeparatedLevels(ins)
-	root := paralg.FromSeqT26(base)
-	cfg := paralg.DefaultConfig
+	cfg := goCfg(paralg.DefaultSpawnDepth)
+	root := paralg.RFromSeqT26(cfg.R, base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.WaitT26(cfg.T26BulkInsert(root, levels))
+		paralg.RWaitT26(cfg.T26BulkInsert(nil, root, levels))
 	}
 }
 
@@ -258,11 +264,11 @@ func BenchmarkSeqT26BulkInsert(b *testing.B) {
 func BenchmarkParQuicksort(b *testing.B) {
 	rng := workload.NewRNG(42)
 	xs := rng.Perm(1 << 13)
-	cfg := paralg.Config{SpawnDepth: 8}
+	cfg := goCfg(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := paralg.FromSlice(xs)
-		_ = paralg.ToSlice(cfg.Quicksort(l, paralg.FromSlice(nil)))
+		l := paralg.RFromSlice(cfg.R, xs)
+		_ = paralg.RToSlice(cfg.Quicksort(nil, l, paralg.RFromSlice(cfg.R, nil)))
 	}
 }
 

@@ -75,7 +75,9 @@ func main() {
 	}
 
 	fmt.Printf("\n== 4. real execution on goroutines ==\n")
-	got := paralg.ToSeqTreap(paralg.DefaultConfig.Union(paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tb)))
+	rt := paralg.GoRuntime{}
+	cfg := paralg.RConfig{R: rt, SpawnDepth: paralg.DefaultSpawnDepth}
+	got := paralg.RToSeqTreap(cfg.Union(nil, paralg.RFromSeqTreap(rt, ta), paralg.RFromSeqTreap(rt, tb)))
 	want := seqtreap.Union(ta, tb)
 	if !seqtreap.Equal(got, want) {
 		fmt.Fprintln(os.Stderr, "parallel result differs from oracle")

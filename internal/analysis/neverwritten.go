@@ -6,7 +6,7 @@ import (
 )
 
 // NeverWritten flags fork bodies that can never write one of their result
-// cells. Fork2/Fork3/ForkN (and future.Spawn2/3, Call2/3) hand the body
+// cells. Fork2/Fork3/ForkN (and future.Spawn2/3) hand the body
 // explicit write capabilities; if the body neither writes a cell
 // parameter nor lets it escape to code that could, the cell is
 // permanently empty — every Touch/Read of it is a guaranteed deadlock

@@ -61,8 +61,9 @@ func speedupInputs(seed uint64, n int) (t1, t2 *seqtree.Node, ta, tb *seqtreap.N
 func runSpeedup(cfg Config, w io.Writer) error {
 	n := 1 << min(cfg.MaxLgN, 19)
 	t1, t2, ta, tbp := speedupInputs(cfg.Seed, n)
-	a1, a2 := paralg.FromSeqTree(t1), paralg.FromSeqTree(t2)
-	b1, b2 := paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tbp)
+	rt := paralg.GoRuntime{}
+	a1, a2 := paralg.RFromSeqTree(rt, t1), paralg.RFromSeqTree(rt, t2)
+	b1, b2 := paralg.RFromSeqTreap(rt, ta), paralg.RFromSeqTreap(rt, tbp)
 
 	seqMerge := timeIt(func() { seqtree.Merge(t1, t2) })
 	seqUnion := timeIt(func() { seqtreap.Union(ta, tbp) })
@@ -72,11 +73,11 @@ func runSpeedup(cfg Config, w io.Writer) error {
 
 	tb := NewTable(fmt.Sprintf("Wall-clock speedup, n = m = 2^%d (sequential: merge %v, union %v)", lgInt(n), seqMerge, seqUnion),
 		"GOMAXPROCS", "merge time", "merge speedup", "union time", "union speedup")
-	cfgPar := paralg.DefaultConfig
+	cfgPar := paralg.RConfig{R: rt, SpawnDepth: paralg.DefaultSpawnDepth}
 	for p := 1; p <= maxP; p *= 2 {
 		runtime.GOMAXPROCS(p)
-		tm := timeIt(func() { paralg.Wait(cfgPar.Merge(a1, a2)) })
-		tu := timeIt(func() { paralg.Wait(cfgPar.Union(b1, b2)) })
+		tm := timeIt(func() { paralg.RWait(cfgPar.Merge(nil, a1, a2)) })
+		tu := timeIt(func() { paralg.RWait(cfgPar.Union(nil, b1, b2)) })
 		tb.Row(I(int64(p)),
 			tm.String(), F(float64(seqMerge)/float64(tm)),
 			tu.String(), F(float64(seqUnion)/float64(tu)))
@@ -93,17 +94,18 @@ func runSpeedup(cfg Config, w io.Writer) error {
 func runGrain(cfg Config, w io.Writer) error {
 	n := 1 << min(cfg.MaxLgN, 19)
 	t1, t2, ta, tbp := speedupInputs(cfg.Seed+1, n)
-	a1, a2 := paralg.FromSeqTree(t1), paralg.FromSeqTree(t2)
-	b1, b2 := paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tbp)
+	rt := paralg.GoRuntime{}
+	a1, a2 := paralg.RFromSeqTree(rt, t1), paralg.RFromSeqTree(rt, t2)
+	b1, b2 := paralg.RFromSeqTreap(rt, ta), paralg.RFromSeqTreap(rt, tbp)
 	seqMerge := timeIt(func() { seqtree.Merge(t1, t2) })
 	seqUnion := timeIt(func() { seqtreap.Union(ta, tbp) })
 
 	tb := NewTable(fmt.Sprintf("Grain-size ablation, n = m = 2^%d, GOMAXPROCS = %d", lgInt(n), runtime.GOMAXPROCS(0)),
 		"spawn depth", "merge time", "merge speedup", "union time", "union speedup")
 	for _, d := range []int{0, 2, 4, 8, 12, 16, 20} {
-		c := paralg.Config{SpawnDepth: d}
-		tm := timeIt(func() { paralg.Wait(c.Merge(a1, a2)) })
-		tu := timeIt(func() { paralg.Wait(c.Union(b1, b2)) })
+		c := paralg.RConfig{R: rt, SpawnDepth: d}
+		tm := timeIt(func() { paralg.RWait(c.Merge(nil, a1, a2)) })
+		tu := timeIt(func() { paralg.RWait(c.Union(nil, b1, b2)) })
 		tb.Row(I(int64(d)),
 			tm.String(), F(float64(seqMerge)/float64(tm)),
 			tu.String(), F(float64(seqUnion)/float64(tu)))

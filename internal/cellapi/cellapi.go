@@ -170,9 +170,9 @@ func ForkCall(info *types.Info, call *ast.CallExpr) (ForkInfo, bool) {
 		switch fn.Name() {
 		case "Spawn":
 			return ForkInfo{Fn: fn, Results: 1, Body: -1, CellParams: -1}, true
-		case "Spawn2", "Call2":
+		case "Spawn2":
 			return ForkInfo{Fn: fn, Results: 2, Body: 0, CellParams: 0}, true
-		case "Spawn3", "Call3":
+		case "Spawn3":
 			return ForkInfo{Fn: fn, Results: 3, Body: 0, CellParams: 0}, true
 		}
 	}
@@ -194,7 +194,7 @@ func (f ForkInfo) BodyLit(call *ast.CallExpr) *ast.FuncLit {
 }
 
 // BodyExpr returns the fork-body argument expression: the explicit body
-// argument for Fork2/3/N and Spawn2/3/Call2/3, the trailing closure for
+// argument for Fork2/3/N and Spawn2/3, the trailing closure for
 // Fork1/Spawn. It returns nil if the call is malformed.
 func (f ForkInfo) BodyExpr(call *ast.CallExpr) ast.Expr {
 	idx := f.Body

@@ -119,19 +119,3 @@ func Spawn3[A, B, C any](f func(a *Cell[A], b *Cell[B], c *Cell[C])) (*Cell[A], 
 	go f(a, b, c)
 	return a, b, c
 }
-
-// Call2 runs f synchronously with two result cells — the sequential
-// counterpart of Spawn2, used below grain-size cutoffs so the code shape
-// stays identical while goroutine overhead disappears.
-func Call2[A, B any](f func(a *Cell[A], b *Cell[B])) (*Cell[A], *Cell[B]) {
-	a, b := New[A](), New[B]()
-	f(a, b)
-	return a, b
-}
-
-// Call3 runs f synchronously with three result cells.
-func Call3[A, B, C any](f func(a *Cell[A], b *Cell[B], c *Cell[C])) (*Cell[A], *Cell[B], *Cell[C]) {
-	a, b, c := New[A](), New[B](), New[C]()
-	f(a, b, c)
-	return a, b, c
-}

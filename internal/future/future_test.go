@@ -142,32 +142,6 @@ func TestSpawn3(t *testing.T) {
 	}
 }
 
-func TestCall2RunsSynchronously(t *testing.T) {
-	ran := false
-	a, b := Call2(func(x, y *Cell[int]) {
-		ran = true
-		x.Write(1)
-		y.Write(2)
-	})
-	if !ran {
-		t.Fatal("Call2 must run before returning")
-	}
-	if !a.Ready() || !b.Ready() {
-		t.Fatal("cells must be ready on return")
-	}
-}
-
-func TestCall3RunsSynchronously(t *testing.T) {
-	a, b, c := Call3(func(x, y, z *Cell[int]) {
-		x.Write(1)
-		y.Write(2)
-		z.Write(3)
-	})
-	if a.Read()+b.Read()+c.Read() != 6 {
-		t.Fatal("values wrong")
-	}
-}
-
 // TestPipelineChain builds a 1000-deep chain of futures each reading its
 // predecessor — the suspension/reactivation protocol under real
 // concurrency.

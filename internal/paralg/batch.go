@@ -1,10 +1,10 @@
 package paralg
 
-// Batch entry points on RConfig — the runtime-portable twins of build.go
-// — plus the CPS query walks the serving layer (internal/serve) runs as
-// scheduler tasks. Everything here follows the port.go discipline: no
-// call ever blocks a goroutine; waiting is always a Touch that suspends
-// only a continuation.
+// Batch entry points on RConfig (treap construction, bulk insert and
+// bulk delete) plus the CPS query walks the serving layer
+// (internal/serve) runs as scheduler tasks. Everything here follows the
+// port.go discipline: no call ever blocks a goroutine; waiting is always
+// a Touch that suspends only a continuation.
 
 import (
 	"sync/atomic"
@@ -33,10 +33,10 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 		return RFromSeqTreap(c.R, t)
 	}
 	half := len(keys) / 2
-	a := c.R.NewNode()
+	a := NewCell[*RNode](c.R)
 	c.fork(ctx, d, func(ctx Ctx) { c.rbuildTreap(ctx, d+1, keys[:half]).Touch(ctx, a.Write) })
 	b := c.rbuildTreap(ctx, d+1, keys[half:])
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.unionInto(ctx, d, a, b, out)
 	return out
 }
@@ -45,7 +45,7 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 // union — the batch entry the serving layer coalesces insert requests
 // into.
 func (c RConfig) InsertKeys(ctx Ctx, tree NodeCell, keys []int) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.unionInto(ctx, 0, tree, c.BuildTreap(ctx, keys), out)
 	return out
 }

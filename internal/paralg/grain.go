@@ -77,6 +77,9 @@ func (c chunkNodeCell) Write(Ctx, *RNode) {
 // Touch implements NodeCell: always inline, never a suspension.
 func (c chunkNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) { k(ctx, c.expand()) }
 
+// TryRead implements NodeCell: a chunk is always written.
+func (c chunkNodeCell) TryRead() (*RNode, bool) { return c.expand(), true }
+
 // Read implements NodeCell.
 func (c chunkNodeCell) Read() *RNode { return c.expand() }
 

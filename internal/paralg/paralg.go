@@ -1,327 +1,73 @@
-// Package paralg runs the paper's algorithms for real, on goroutines, using
-// the futures of package future: every tree edge is a one-shot cell, so
-// partially built trees flow between pipeline stages exactly as in the cost
-// model, and Go's work-stealing scheduler plays the runtime of Section 4.
+// Package paralg runs the paper's algorithms for real. Each algorithm is
+// written once, as an RConfig method in continuation-passing style over
+// write-once cells: every tree edge and list tail is a Cell, so partially
+// built structures flow between pipeline stages exactly as in the cost
+// model. Where the paper's code reads a cell, an RConfig method Touches
+// it and continues in the callback.
 //
-// Unbounded forking would drown the asymptotics in goroutine overhead, so
-// every algorithm takes a Config with a SpawnDepth: future calls above that
-// recursion depth start goroutines, deeper calls run synchronously in the
-// caller (with identical code shape — see future.Call2/Call3). SpawnDepth
-// is the grain-size ablation knob of the A-GRAIN experiment.
+// The same text runs on two runtimes (runtime.go). GoRuntime makes every
+// fork a goroutine and every cell a future.Cell, so Go's scheduler plays
+// the runtime of Section 4 and a touch of an unwritten cell blocks a
+// goroutine. SchedRuntime runs on the work-stealing scheduler of package
+// sched, where such a touch parks only the continuation.
+//
+// Unbounded forking would drown the asymptotics in task overhead, so
+// RConfig carries a SpawnDepth: forks above that recursion depth become
+// runtime tasks, deeper ones run inline in the caller. SpawnDepth is the
+// grain-size ablation knob of the A-GRAIN experiment. GrainCutoff
+// (grain.go) additionally collapses small treap subtrees into
+// sequential chunks.
 package paralg
 
-import (
-	"pipefut/internal/future"
-	"pipefut/internal/seqtreap"
-	"pipefut/internal/seqtree"
-)
+// DefaultSpawnDepth spawns down to recursion depth 14 (≈16k-way
+// parallelism at the frontier), a good default for the benchmarks and
+// servers in this repository.
+const DefaultSpawnDepth = 14
 
-// Node is a binary-search-tree / treap node whose children are future
-// cells. A cell holding nil is an empty subtree.
-type Node struct {
-	Key   int
-	Prio  int64
-	Left  *future.Cell[*Node]
-	Right *future.Cell[*Node]
-}
+// DefaultConfig once held the blocking algorithms' default grain.
+//
+// Deprecated: use DefaultSpawnDepth; kept only because the benchmark harness names it.
+var DefaultConfig = struct{ SpawnDepth int }{SpawnDepth: DefaultSpawnDepth}
 
-// Tree is a (possibly future) reference to a tree.
-type Tree = *future.Cell[*Node]
-
-// Config controls granularity.
-type Config struct {
-	// SpawnDepth bounds parallel recursion: future calls at recursion
-	// depth < SpawnDepth spawn goroutines, deeper ones run inline.
-	// 0 makes every algorithm fully sequential; 64 is effectively
+// RConfig pairs a Runtime with the granularity knobs. Every algorithm of
+// the package is an RConfig method; ctx arguments follow the Fork
+// contract (the current worker context, or nil from outside the
+// runtime).
+type RConfig struct {
+	R Runtime
+	// SpawnDepth bounds parallel recursion: forks at recursion depth
+	// < SpawnDepth become runtime tasks, deeper ones run inline in the
+	// caller. 0 makes every algorithm sequential; 64 is effectively
 	// unbounded for laptop-scale inputs.
 	SpawnDepth int
+	// Deprecated: no effect; kept only because the benchmark harness names them.
+	Discipline CellDiscipline
+	// GrainCutoff coarsens below-cutoff subtrees into chunk cells (see
+	// grain.go): subtrees of at most GrainCutoff nodes are built and
+	// combined by the plain sequential seqtreap code behind a single
+	// born-written cell, instead of one scheduler cell per node. Zero or
+	// negative disables coarsening. Every entry point that reads it
+	// carries the verdict manifest's seqsafe proof; the others never
+	// coarsen. internal/verifycross fails if a new entry point lacks
+	// either (TestSeqSafeCoversEveryCoarsenedEntry).
+	GrainCutoff int
 }
 
-// DefaultConfig spawns down to recursion depth 14 (≈16k-way parallelism at
-// the frontier), a good default for the benchmarks in this repository.
-var DefaultConfig = Config{SpawnDepth: 14}
+// CellDiscipline once selected specialized cell variants per call.
+//
+// Deprecated: no effect; kept only because the benchmark harness names them.
+type CellDiscipline int
 
-func (c Config) spawn(depth int) bool { return depth < c.SpawnDepth }
+// LinearCells is a CellDiscipline value.
+//
+// Deprecated: no effect; kept only because the benchmark harness names them.
+const LinearCells CellDiscipline = 1
 
-// FromSeqTree converts a sequential BST into a materialized cell tree.
-func FromSeqTree(t *seqtree.Node) Tree {
-	if t == nil {
-		return future.Done[*Node](nil)
-	}
-	return future.Done(&Node{Key: t.Key, Left: FromSeqTree(t.Left), Right: FromSeqTree(t.Right)})
-}
-
-// FromSeqTreap converts a sequential treap into a materialized cell tree.
-func FromSeqTreap(t *seqtreap.Node) Tree {
-	if t == nil {
-		return future.Done[*Node](nil)
-	}
-	return future.Done(&Node{Key: t.Key, Prio: t.Prio, Left: FromSeqTreap(t.Left), Right: FromSeqTreap(t.Right)})
-}
-
-// ToSeqTree reads the whole tree (blocking until complete) back into a
-// sequential BST.
-func ToSeqTree(t Tree) *seqtree.Node {
-	n := t.Read()
-	if n == nil {
-		return nil
-	}
-	return &seqtree.Node{Key: n.Key, Left: ToSeqTree(n.Left), Right: ToSeqTree(n.Right)}
-}
-
-// ToSeqTreap reads the whole tree back into a sequential treap.
-func ToSeqTreap(t Tree) *seqtreap.Node {
-	n := t.Read()
-	if n == nil {
-		return nil
-	}
-	return &seqtreap.Node{Key: n.Key, Prio: n.Prio, Left: ToSeqTreap(n.Left), Right: ToSeqTreap(n.Right)}
-}
-
-// Wait blocks until every cell of the tree is written — the "computation
-// finished" barrier the benchmarks time.
-func Wait(t Tree) {
-	n := t.Read()
-	if n == nil {
+// fork runs f as a task when the depth is above the grain, else inline.
+func (c RConfig) fork(ctx Ctx, d int, f func(Ctx)) {
+	if d < c.SpawnDepth {
+		c.R.Fork(ctx, f)
 		return
 	}
-	Wait(n.Left)
-	Wait(n.Right)
-}
-
-// Merge merges two binary search trees with disjoint key sets (the
-// pipelined algorithm of Section 3.1) and returns the result tree
-// immediately; its nodes materialize concurrently.
-func (c Config) Merge(a, b Tree) Tree {
-	return c.merge(0, a, b)
-}
-
-func (c Config) merge(d int, a, b Tree) Tree {
-	body := func() *Node {
-		n1 := a.Read()
-		if n1 == nil {
-			return b.Read()
-		}
-		l2, r2 := c.split(d, n1.Key, b)
-		return &Node{
-			Key:   n1.Key,
-			Prio:  n1.Prio,
-			Left:  c.merge(d+1, n1.Left, l2),
-			Right: c.merge(d+1, n1.Right, r2),
-		}
-	}
-	if c.spawn(d) {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
-}
-
-// split divides tree by s into keys < s and keys ≥ s with independently
-// written result cells, exactly as Figure 12.
-func (c Config) split(d int, s int, tree Tree) (lt, ge Tree) {
-	body := func(lo, ro *future.Cell[*Node]) {
-		n := tree.Read()
-		if n == nil {
-			lo.Write(nil)
-			ro.Write(nil)
-			return
-		}
-		if s <= n.Key {
-			l1, r1 := c.split(d+1, s, n.Left)
-			ro.Write(&Node{Key: n.Key, Prio: n.Prio, Left: r1, Right: n.Right})
-			lo.Write(l1.Read())
-		} else {
-			l1, r1 := c.split(d+1, s, n.Right)
-			lo.Write(&Node{Key: n.Key, Prio: n.Prio, Left: n.Left, Right: l1})
-			ro.Write(r1.Read())
-		}
-	}
-	if c.spawn(d) {
-		return future.Spawn2(body)
-	}
-	return future.Call2(body)
-}
-
-// Union returns the union of two treaps, discarding duplicates (the
-// pipelined algorithm of Section 3.2).
-func (c Config) Union(a, b Tree) Tree { return c.union(0, a, b) }
-
-func (c Config) union(d int, a, b Tree) Tree {
-	body := func() *Node {
-		n1 := a.Read()
-		if n1 == nil {
-			return b.Read()
-		}
-		n2 := b.Read()
-		if n2 == nil {
-			return n1
-		}
-		hi, lo := n1, n2
-		if hi.Prio < lo.Prio {
-			hi, lo = lo, hi
-		}
-		l2, r2, _ := c.splitM(d, hi.Key, lo)
-		return &Node{
-			Key:   hi.Key,
-			Prio:  hi.Prio,
-			Left:  c.union(d+1, hi.Left, l2),
-			Right: c.union(d+1, hi.Right, r2),
-		}
-	}
-	if c.spawn(d) {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
-}
-
-// splitM splits the treap rooted at the already-read node around s,
-// excluding and reporting s itself if present.
-func (c Config) splitM(d int, s int, n *Node) (lt, gt, dup Tree) {
-	body := func(lo, ro, do *future.Cell[*Node]) {
-		c.splitMBody(d, s, n, lo, ro, do)
-	}
-	if c.spawn(d) {
-		return future.Spawn3(body)
-	}
-	return future.Call3(body)
-}
-
-func (c Config) splitMBody(d int, s int, n *Node, lo, ro, do *future.Cell[*Node]) {
-	if n == nil {
-		lo.Write(nil)
-		ro.Write(nil)
-		do.Write(nil)
-		return
-	}
-	switch {
-	case s == n.Key:
-		do.Write(n)
-		lo.Write(n.Left.Read())
-		ro.Write(n.Right.Read())
-	case s < n.Key:
-		l1, r1, d1 := c.splitMCell(d+1, s, n.Left)
-		ro.Write(&Node{Key: n.Key, Prio: n.Prio, Left: r1, Right: n.Right})
-		do.Write(d1.Read())
-		lo.Write(l1.Read())
-	default:
-		l1, r1, d1 := c.splitMCell(d+1, s, n.Right)
-		lo.Write(&Node{Key: n.Key, Prio: n.Prio, Left: n.Left, Right: l1})
-		do.Write(d1.Read())
-		ro.Write(r1.Read())
-	}
-}
-
-func (c Config) splitMCell(d int, s int, tree Tree) (lt, gt, dup Tree) {
-	body := func(lo, ro, do *future.Cell[*Node]) {
-		c.splitMBody(d, s, tree.Read(), lo, ro, do)
-	}
-	if c.spawn(d) {
-		return future.Spawn3(body)
-	}
-	return future.Call3(body)
-}
-
-// Diff returns treap a with every key of treap b removed (the pipelined
-// algorithm of Section 3.3).
-func (c Config) Diff(a, b Tree) Tree { return c.diff(0, a, b) }
-
-func (c Config) diff(d int, a, b Tree) Tree {
-	body := func() *Node {
-		n1 := a.Read()
-		if n1 == nil {
-			return nil
-		}
-		n2 := b.Read()
-		if n2 == nil {
-			return n1
-		}
-		l2, r2, dup := c.splitM(d, n1.Key, n2)
-		l := c.diff(d+1, n1.Left, l2)
-		r := c.diff(d+1, n1.Right, r2)
-		if dup.Read() == nil {
-			return &Node{Key: n1.Key, Prio: n1.Prio, Left: l, Right: r}
-		}
-		return c.joinCells(d, l, r)
-	}
-	if c.spawn(d) {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
-}
-
-// Join joins two treaps where every key of a precedes every key of b.
-func (c Config) Join(a, b Tree) Tree {
-	return future.Spawn(func() *Node { return c.joinCells(0, a, b) })
-}
-
-func (c Config) joinCells(d int, a, b Tree) *Node {
-	na := a.Read()
-	if na == nil {
-		return b.Read()
-	}
-	nb := b.Read()
-	if nb == nil {
-		return na
-	}
-	return c.joinNodes(d, na, nb)
-}
-
-func (c Config) joinNodes(d int, na, nb *Node) *Node {
-	if na.Prio > nb.Prio {
-		body := func() *Node {
-			r := na.Right.Read()
-			if r == nil {
-				return nb
-			}
-			return c.joinNodes(d+1, r, nb)
-		}
-		var right Tree
-		if c.spawn(d) {
-			right = future.Spawn(body)
-		} else {
-			right = future.Done(body())
-		}
-		return &Node{Key: na.Key, Prio: na.Prio, Left: na.Left, Right: right}
-	}
-	body := func() *Node {
-		l := nb.Left.Read()
-		if l == nil {
-			return na
-		}
-		return c.joinNodes(d+1, na, l)
-	}
-	var left Tree
-	if c.spawn(d) {
-		left = future.Spawn(body)
-	} else {
-		left = future.Done(body())
-	}
-	return &Node{Key: nb.Key, Prio: nb.Prio, Left: left, Right: nb.Right}
-}
-
-// Mergesort sorts xs into a binary search tree using futures and the
-// pipelined Merge — the Section 5 conjecture, executed for real.
-func (c Config) Mergesort(xs []int) Tree {
-	return c.msort(0, xs)
-}
-
-func (c Config) msort(d int, xs []int) Tree {
-	switch len(xs) {
-	case 0:
-		return future.Done[*Node](nil)
-	case 1:
-		return future.Done(&Node{
-			Key:  xs[0],
-			Left: future.Done[*Node](nil), Right: future.Done[*Node](nil),
-		})
-	}
-	body := func() *Node {
-		a := c.msort(d+1, xs[:len(xs)/2])
-		b := c.msort(d+1, xs[len(xs)/2:])
-		return c.merge(d+1, a, b).Read()
-	}
-	if c.spawn(d) {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
+	f(ctx)
 }

@@ -1,34 +1,25 @@
 package paralg
 
-// Runtime-portable ports of the pipelined algorithms, written in
-// continuation-passing style against the Runtime interface: every place
-// the classic Config methods block a goroutine on Cell.Read, these ports
-// Touch the cell and continue in the callback. On GoRuntime the two
-// styles cost the same; on SchedRuntime the CPS form is what lets a
+// The tree algorithms of Sections 3.1-3.3, and the Section 5 mergesort,
+// in continuation-passing style: every place the paper's code reads a
+// cell, these methods Touch it and continue in the callback. On
+// GoRuntime a touch of an unwritten cell blocks a goroutine; on
+// SchedRuntime it parks only the continuation, which is what lets a
 // million suspended threads share p goroutines.
 //
-// The algorithms are textually parallel to their Config counterparts in
-// paralg.go and t26.go (same recursion structure, same depth accounting,
-// same helper functions for the 2-6 key arithmetic), so the two can be
-// diffed side by side. One deliberate difference: where the classic code
-// builds a node after its children's cells exist, the CPS form writes
-// each output node as soon as its key is decided and then fills the
-// child cells — the same data, available strictly earlier, which is the
+// Each output node is written as soon as its key is decided, and its
+// child cells are filled afterwards, so consumers walk the result's
+// upper levels while the lower ones are still being computed: the
 // pipelining the paper is about.
 
-import (
-	"fmt"
-
-	"pipefut/internal/seqtreap"
-	"pipefut/internal/t26"
-)
+import "pipefut/internal/seqtreap"
 
 // Merge merges two binary search trees with disjoint key sets (Section
 // 3.1) on runtime c.R and returns the result cell immediately; nodes
 // materialize concurrently. ctx follows the Fork contract (current
 // worker context, or nil from outside the runtime).
 func (c RConfig) Merge(ctx Ctx, a, b NodeCell) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.mergeInto(ctx, 0, a, b, out)
 	return out
 }
@@ -46,7 +37,7 @@ func (c RConfig) mergeInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 				return
 			}
 			lt, ge := c.rsplit(ctx, d, n1.Key, b)
-			nl, nr := c.R.NewNode(), c.R.NewNode()
+			nl, nr := NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 			out.Write(ctx, &RNode{Key: n1.Key, Prio: n1.Prio, Left: nl, Right: nr})
 			c.mergeInto(ctx, d+1, n1.Left, lt, nl)
 			c.mergeInto(ctx, d+1, n1.Right, ge, nr)
@@ -64,7 +55,7 @@ func (c RConfig) rsplit(ctx Ctx, d int, s int, tree NodeCell) (lt, ge NodeCell) 
 		l, g := chunkSplitGE(s, t)
 		return chunkCell(l), chunkCell(g)
 	}
-	lo, ro := c.R.NewNode(), c.R.NewNode()
+	lo, ro := NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 	c.fork(ctx, d, func(ctx Ctx) {
 		tree.Touch(ctx, func(ctx Ctx, n *RNode) {
 			if n == nil {
@@ -89,7 +80,7 @@ func (c RConfig) rsplit(ctx Ctx, d int, s int, tree NodeCell) (lt, ge NodeCell) 
 // Union returns the union of two treaps, discarding duplicates (Section
 // 3.2), on runtime c.R.
 func (c RConfig) Union(ctx Ctx, a, b NodeCell) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.unionInto(ctx, 0, a, b, out)
 	return out
 }
@@ -117,7 +108,7 @@ func (c RConfig) unionInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 					hi, lo = lo, hi
 				}
 				l2, r2, _ := c.rsplitM(ctx, d, hi.Key, lo)
-				nl, nr := c.R.NewNode(), c.R.NewNode()
+				nl, nr := NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 				out.Write(ctx, &RNode{Key: hi.Key, Prio: hi.Prio, Left: nl, Right: nr})
 				c.unionInto(ctx, d+1, hi.Left, l2, nl)
 				c.unionInto(ctx, d+1, hi.Right, r2, nr)
@@ -130,7 +121,7 @@ func (c RConfig) unionInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 // excluding and reporting s itself if present (Union discards the
 // duplicate cell; Diff and Intersect branch on it).
 func (c RConfig) rsplitM(ctx Ctx, d int, s int, n *RNode) (lt, gt, dup NodeCell) {
-	lo, ro, do := c.R.NewNode(), c.R.NewNode(), c.R.NewNode()
+	lo, ro, do := NewCell[*RNode](c.R), NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 	c.fork(ctx, d, func(ctx Ctx) { c.rsplitMBody(ctx, d, s, n, lo, ro, do) })
 	return lo, ro, do
 }
@@ -167,7 +158,7 @@ func (c RConfig) rsplitMCell(ctx Ctx, d int, s int, tree NodeCell) (lt, gt, dup 
 		l, g, du := seqtreap.SplitM(s, t)
 		return chunkCell(l), chunkCell(g), chunkCell(du)
 	}
-	lo, ro, do := c.R.NewNode(), c.R.NewNode(), c.R.NewNode()
+	lo, ro, do := NewCell[*RNode](c.R), NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 	c.fork(ctx, d, func(ctx Ctx) {
 		tree.Touch(ctx, func(ctx Ctx, n *RNode) { c.rsplitMBody(ctx, d, s, n, lo, ro, do) })
 	})
@@ -175,11 +166,11 @@ func (c RConfig) rsplitMCell(ctx Ctx, d int, s int, tree NodeCell) (lt, gt, dup 
 }
 
 // Diff returns treap a with every key of treap b removed (Section 3.3)
-// on runtime c.R. Like the classic diff it cannot write an output node
-// before knowing whether the node's key survives, so the write waits on
-// the duplicate cell — but both child differences recurse eagerly.
+// on runtime c.R. It cannot write an output node before knowing whether
+// the node's key survives, so the write waits on the duplicate cell —
+// but both child differences recurse eagerly.
 func (c RConfig) Diff(ctx Ctx, a, b NodeCell) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.diffInto(ctx, 0, a, b, out)
 	return out
 }
@@ -201,7 +192,7 @@ func (c RConfig) diffInto(ctx Ctx, d int, a, b, out NodeCell) {
 					return
 				}
 				l2, r2, dup := c.rsplitM(ctx, d, n1.Key, n2)
-				l, r := c.R.NewNode(), c.R.NewNode()
+				l, r := NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 				c.diffInto(ctx, d+1, n1.Left, l2, l)
 				c.diffInto(ctx, d+1, n1.Right, r2, r)
 				dup.Touch(ctx, func(ctx Ctx, dn *RNode) {
@@ -219,7 +210,7 @@ func (c RConfig) diffInto(ctx Ctx, d int, a, b, out NodeCell) {
 // Intersect returns the treap of keys present in both treaps — the
 // extension companion of Union and Diff, pipelined the same way.
 func (c RConfig) Intersect(ctx Ctx, a, b NodeCell) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.intersectInto(ctx, 0, a, b, out)
 	return out
 }
@@ -241,7 +232,7 @@ func (c RConfig) intersectInto(ctx Ctx, d int, a, b, out NodeCell) {
 					return
 				}
 				l2, r2, dup := c.rsplitM(ctx, d, n1.Key, n2)
-				l, r := c.R.NewNode(), c.R.NewNode()
+				l, r := NewCell[*RNode](c.R), NewCell[*RNode](c.R)
 				c.intersectInto(ctx, d+1, n1.Left, l2, l)
 				c.intersectInto(ctx, d+1, n1.Right, r2, r)
 				dup.Touch(ctx, func(ctx Ctx, dn *RNode) {
@@ -258,7 +249,7 @@ func (c RConfig) intersectInto(ctx Ctx, d int, a, b, out NodeCell) {
 
 // Join joins two treaps where every key of a precedes every key of b.
 func (c RConfig) Join(ctx Ctx, a, b NodeCell) NodeCell {
-	out := c.R.NewNode()
+	out := NewCell[*RNode](c.R)
 	c.fork(ctx, 0, func(ctx Ctx) { c.joinInto(ctx, 0, a, b, out) })
 	return out
 }
@@ -283,12 +274,12 @@ func (c RConfig) joinInto(ctx Ctx, d int, a, b, out NodeCell) {
 	})
 }
 
-// joinNodesInto is joinNodes in CPS — with the pipelining twist the
-// classic form lacks: the winning root is written before the recursive
-// join below it resolves, so consumers see the result's spine early.
+// joinNodesInto joins two non-empty treaps along the seam. The winning
+// root is written before the recursive join below it resolves, so
+// consumers see the result's spine early.
 func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 	if na.Prio > nb.Prio {
-		right := c.R.NewNode()
+		right := NewCell[*RNode](c.R)
 		out.Write(ctx, &RNode{Key: na.Key, Prio: na.Prio, Left: na.Left, Right: right})
 		c.fork(ctx, d, func(ctx Ctx) {
 			na.Right.Touch(ctx, func(ctx Ctx, r *RNode) {
@@ -301,7 +292,7 @@ func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 		})
 		return
 	}
-	left := c.R.NewNode()
+	left := NewCell[*RNode](c.R)
 	out.Write(ctx, &RNode{Key: nb.Key, Prio: nb.Prio, Left: left, Right: nb.Right})
 	c.fork(ctx, d, func(ctx Ctx) {
 		nb.Left.Touch(ctx, func(ctx Ctx, l *RNode) {
@@ -314,115 +305,26 @@ func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 	})
 }
 
-// T26Insert inserts one well-separated sorted key array (Section 3.4) on
-// runtime c.R and returns the new root cell immediately.
-func (c RConfig) T26Insert(ctx Ctx, tree T26Cell, ws []int) T26Cell {
-	out := c.R.NewT26()
-	run := func(ctx Ctx) {
-		tree.Touch(ctx, func(ctx Ctx, n *RT26Node) {
-			if len(ws) == 0 {
-				out.Write(ctx, n)
-				return
-			}
-			if len(n.Keys) >= t26SplitThreshold {
-				l, mid, r := splitRT26Node(n)
-				n = &RT26Node{Keys: []int{mid}, Kids: []T26Cell{c.R.DoneT26(l), c.R.DoneT26(r)}}
-			}
-			c.t26InsertInto(ctx, 0, n, ws, out)
-		})
+// Mergesort sorts xs into a binary search tree by recursive halving and
+// the pipelined Merge — the Section 5 conjecture, executed for real.
+// Duplicates stay (adjacent in key order). It never coarsens.
+func (c RConfig) Mergesort(ctx Ctx, xs []int) NodeCell {
+	c.GrainCutoff = 0
+	return c.msort(ctx, 0, xs)
+}
+
+func (c RConfig) msort(ctx Ctx, d int, xs []int) NodeCell {
+	switch len(xs) {
+	case 0:
+		return DoneCell[*RNode](c.R, nil)
+	case 1:
+		return DoneCell(c.R, &RNode{Key: xs[0], Left: DoneCell[*RNode](c.R, nil), Right: DoneCell[*RNode](c.R, nil)})
 	}
-	if c.SpawnDepth > 0 {
-		c.R.Fork(ctx, run)
-	} else {
-		run(ctx)
-	}
+	out := NewCell[*RNode](c.R)
+	c.fork(ctx, d, func(ctx Ctx) {
+		a := c.msort(ctx, d+1, xs[:len(xs)/2])
+		b := c.msort(ctx, d+1, xs[len(xs)/2:])
+		c.mergeInto(ctx, d+1, a, b, out)
+	})
 	return out
-}
-
-// T26BulkInsert pipelines the level arrays through the tree: each
-// insertion starts as soon as the previous root cell is written.
-func (c RConfig) T26BulkInsert(ctx Ctx, tree T26Cell, levels [][]int) T26Cell {
-	for _, lv := range levels {
-		tree = c.T26Insert(ctx, tree, lv)
-	}
-	return tree
-}
-
-func splitRT26Node(n *RT26Node) (l *RT26Node, mid int, r *RT26Node) {
-	m := len(n.Keys) / 2
-	mid = n.Keys[m]
-	l = &RT26Node{Keys: append([]int(nil), n.Keys[:m]...)}
-	r = &RT26Node{Keys: append([]int(nil), n.Keys[m+1:]...)}
-	if !n.IsLeaf() {
-		l.Kids = append([]T26Cell(nil), n.Kids[:m+1]...)
-		r.Kids = append([]T26Cell(nil), n.Kids[m+1:]...)
-	}
-	return l, mid, r
-}
-
-// t26InsertInto is t26InsertBody in CPS: the descending loop over
-// partitions becomes a continuation chain, each child touch resuming the
-// loop at the next lower index. newKeys/newKids are touched by exactly
-// one continuation at a time (the chain is a single logical thread;
-// the cell's write→touch edge orders the handoff), so no locking.
-func (c RConfig) t26InsertInto(ctx Ctx, d int, n *RT26Node, ws []int, out T26Cell) {
-	if n.IsLeaf() {
-		merged := mergeUniqueKeys(n.Keys, ws)
-		if len(merged) > t26.MaxKeys {
-			panic(fmt.Sprintf("paralg: leaf would hold %d keys — insert array not well separated", len(merged)))
-		}
-		out.Write(ctx, &RT26Node{Keys: merged})
-		return
-	}
-	parts := partitionKeys(ws, n.Keys)
-	newKeys := append([]int(nil), n.Keys...)
-	newKids := append([]T26Cell(nil), n.Kids...)
-	var step func(ctx Ctx, i int)
-	step = func(ctx Ctx, i int) {
-		for ; i >= 0; i-- {
-			sub := parts[i]
-			if len(sub) == 0 {
-				continue
-			}
-			i := i
-			newKids[i].Touch(ctx, func(ctx Ctx, child *RT26Node) {
-				if len(child.Keys) >= t26SplitThreshold {
-					l, mid, r := splitRT26Node(child)
-					wl, wr := splitKeysAround(sub, mid)
-					nl, nr := c.R.DoneT26(l), c.R.DoneT26(r)
-					if len(wl) > 0 {
-						nl = c.rt26Recurse(ctx, d+1, l, wl)
-					}
-					if len(wr) > 0 {
-						nr = c.rt26Recurse(ctx, d+1, r, wr)
-					}
-					newKeys = insertKeyAt(newKeys, i, mid)
-					newKids[i] = nl
-					newKids = insertT26CellAt(newKids, i+1, nr)
-				} else {
-					newKids[i] = c.rt26Recurse(ctx, d+1, child, sub)
-				}
-				step(ctx, i-1)
-			})
-			return // the loop continues inside the touch continuation
-		}
-		if len(newKeys) > t26.MaxKeys {
-			panic(fmt.Sprintf("paralg: node would hold %d keys — invariant violated", len(newKeys)))
-		}
-		out.Write(ctx, &RT26Node{Keys: newKeys, Kids: newKids})
-	}
-	step(ctx, len(parts)-1)
-}
-
-func (c RConfig) rt26Recurse(ctx Ctx, d int, n *RT26Node, ws []int) T26Cell {
-	out := c.R.NewT26()
-	c.fork(ctx, d, func(ctx Ctx) { c.t26InsertInto(ctx, d, n, ws, out) })
-	return out
-}
-
-func insertT26CellAt(xs []T26Cell, i int, v T26Cell) []T26Cell {
-	xs = append(xs, nil)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }

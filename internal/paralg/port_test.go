@@ -12,7 +12,8 @@ import (
 	"pipefut/internal/workload"
 )
 
-// portSpawnDepths mirrors testCfgs: sequential, shallow, everywhere.
+// portSpawnDepths are the grains the property tests sweep: sequential,
+// shallow, and spawn everywhere.
 var portSpawnDepths = []int{0, 3, 64}
 
 // withPortRuntimes runs f once per runtime implementation. The sched
@@ -100,26 +101,6 @@ func TestPortT26BulkInsertMatchesOracleProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestPortClassicAndPortAgree cross-checks the ported Merge against the
-// classic goroutine implementation on the same inputs.
-func TestPortClassicAndPortAgree(t *testing.T) {
-	rng := workload.NewRNG(5)
-	ka, kb := workload.DisjointKeySets(rng, 500, 700)
-	sort.Ints(ka)
-	sort.Ints(kb)
-	t1 := seqtree.FromSortedBalanced(ka)
-	t2 := seqtree.FromSortedBalanced(kb)
-	classic := ToSeqTree(Config{SpawnDepth: 8}.Merge(FromSeqTree(t1), FromSeqTree(t2)))
-
-	s := NewSchedRuntime(2)
-	defer s.Close()
-	cfg := RConfig{R: s, SpawnDepth: 8}
-	ported := RToSeqTree(cfg.Merge(nil, RFromSeqTree(s, t1), RFromSeqTree(s, t2)))
-	if !seqtree.Equal(classic, ported) {
-		t.Fatal("classic and ported Merge disagree")
-	}
 }
 
 // TestPortSchedSuspensionsBalance checks the runtime's books after a

@@ -1,6 +1,7 @@
 package paralg
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,66 +11,66 @@ import (
 )
 
 func TestAnnotateSizes(t *testing.T) {
-	rng := workload.NewRNG(1)
-	keys := workload.SortedDistinct(rng, 500, 5000)
-	tr := seqtree.FromSortedBalanced(keys)
-	ann := DefaultConfig.Annotate(FromSeqTree(tr))
-	var check func(a STree, want *seqtree.Node) bool
-	check = func(a STree, want *seqtree.Node) bool {
-		n := a.Read()
-		if n == nil || want == nil {
-			return (n == nil) == (want == nil)
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		rng := workload.NewRNG(1)
+		keys := workload.SortedDistinct(rng, 500, 5000)
+		tr := seqtree.FromSortedBalanced(keys)
+		ann := RConfig{R: r, SpawnDepth: DefaultSpawnDepth}.Annotate(nil, RFromSeqTree(r, tr))
+		var check func(a Cell[*RSNode], want *seqtree.Node) bool
+		check = func(a Cell[*RSNode], want *seqtree.Node) bool {
+			n := a.Read()
+			if n == nil || want == nil {
+				return (n == nil) == (want == nil)
+			}
+			if n.Key != want.Key || n.Size != seqtree.Size(want) || n.LSize != seqtree.Size(want.Left) {
+				return false
+			}
+			return check(n.Left, want.Left) && check(n.Right, want.Right)
 		}
-		if n.Key != want.Key || n.Size != seqtree.Size(want) || n.LSize != seqtree.Size(want.Left) {
-			return false
+		if !check(ann, tr) {
+			t.Fatal("annotation wrong")
 		}
-		return check(n.Left, want.Left) && check(n.Right, want.Right)
-	}
-	if !check(ann, tr) {
-		t.Fatal("annotation wrong")
-	}
+	})
 }
 
 func TestMergeBalancedProperty(t *testing.T) {
-	f := func(seed uint16, n8, m8, cfgPick uint8) bool {
-		n, m := int(n8%100)+1, int(m8%100)+1
-		rng := workload.NewRNG(uint64(seed))
-		ka, kb := workload.DisjointKeySets(rng, n, m)
-		sort.Ints(ka)
-		sort.Ints(kb)
-		t1 := seqtree.FromSortedBalanced(ka)
-		t2 := seqtree.FromSortedBalanced(kb)
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
+			n, m := int(n8%100)+1, int(m8%100)+1
+			rng := workload.NewRNG(uint64(seed))
+			ka, kb := workload.DisjointKeySets(rng, n, m)
+			sort.Ints(ka)
+			sort.Ints(kb)
+			t1 := seqtree.FromSortedBalanced(ka)
+			t2 := seqtree.FromSortedBalanced(kb)
 
-		cfg := testCfgs[int(cfgPick)%len(testCfgs)]
-		out := ToSeqTree(cfg.MergeBalanced(FromSeqTree(t1), FromSeqTree(t2), n+m))
+			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
+			out := RToSeqTree(cfg.MergeBalanced(nil, RFromSeqTree(r, t1), RFromSeqTree(r, t2), n+m))
 
-		want := append(append([]int{}, ka...), kb...)
-		sort.Ints(want)
-		got := seqtree.Keys(out)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
+			want := slices.Sorted(slices.Values(append(append([]int{}, ka...), kb...)))
+			if !slices.Equal(seqtree.Keys(out), want) {
 				return false
 			}
+			maxH := 0
+			for 1<<(maxH+1) < n+m+1 {
+				maxH++
+			}
+			return seqtree.Height(out) <= maxH+1
 		}
-		maxH := 0
-		for 1<<(maxH+1) < n+m+1 {
-			maxH++
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatal(err)
 		}
-		return seqtree.Height(out) <= maxH+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestRebalanceEmpty(t *testing.T) {
-	out := DefaultConfig.Rebalance(DefaultConfig.Annotate(FromSeqTree(nil)), 0)
-	if out.Read() != nil {
-		t.Fatal("empty rebalance must be empty")
-	}
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		cfg := RConfig{R: r, SpawnDepth: DefaultSpawnDepth}
+		out := cfg.Rebalance(nil, cfg.Annotate(nil, RFromSeqTree(r, nil)), 0)
+		if out.Read() != nil {
+			t.Fatal("empty rebalance must be empty")
+		}
+	})
 }
 
 func TestRebalanceLarge(t *testing.T) {
@@ -80,15 +81,14 @@ func TestRebalanceLarge(t *testing.T) {
 	for _, k := range keys {
 		tr = seqtree.Merge(tr, &seqtree.Node{Key: k})
 	}
-	cfg := Config{SpawnDepth: 12}
-	out := ToSeqTree(cfg.Rebalance(cfg.Annotate(FromSeqTree(tr)), len(keys)))
-	if h := seqtree.Height(out); h > 16 {
-		t.Fatalf("height %d, want ≤ 16 for 20000 keys", h)
-	}
-	got := seqtree.Keys(out)
-	for i := range keys {
-		if got[i] != keys[i] {
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		cfg := RConfig{R: r, SpawnDepth: 12}
+		out := RToSeqTree(cfg.Rebalance(nil, cfg.Annotate(nil, RFromSeqTree(r, tr)), len(keys)))
+		if h := seqtree.Height(out); h > 16 {
+			t.Fatalf("height %d, want ≤ 16 for 20000 keys", h)
+		}
+		if !slices.Equal(seqtree.Keys(out), keys) {
 			t.Fatal("keys differ")
 		}
-	}
+	})
 }

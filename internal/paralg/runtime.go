@@ -1,20 +1,19 @@
 package paralg
 
-// This file defines the runtime-portable face of the package: a small
-// Runtime interface that the pipelined algorithms in port.go are written
-// against, so the same algorithm text runs either on the goroutine-per-
-// future runtime of package future (GoRuntime, below) or on the explicit
-// work-stealing scheduler of package sched (SchedRuntime, schedrt.go).
-//
-// The portable style is continuation-passing: where the classic Config
-// methods call Cell.Read (blocking a goroutine), the RConfig ports call
-// NodeCell.Touch(ctx, k), which on the sched runtime suspends only the
-// continuation k — never a goroutine. The ctx value threads the current
-// scheduling context (a *sched.Worker, or nil on the Go runtime) through
-// every fork and touch, mirroring how costalg threads *core.Ctx.
+// The runtime-portable face of the package: the Runtime interface the
+// algorithms fork through, the one generic Cell interface every edge of
+// every structure is made of, and the converters between cell structures
+// and the sequential ones. Two runtimes implement it: GoRuntime
+// (goruntime.go), where a fork is a goroutine and a touch of an
+// unwritten cell blocks one, and SchedRuntime (schedrt.go), where a fork
+// is a deque task and the same touch parks only the continuation. The
+// Ctx value threads the current scheduling context (a *sched.Worker, or
+// nil on the Go runtime) through every fork and touch, mirroring how
+// costalg threads *core.Ctx.
 
 import (
-	"pipefut/internal/future"
+	"fmt"
+
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
 	"pipefut/internal/t26"
@@ -25,45 +24,65 @@ import (
 // reactivations land on the local deque. Algorithm code only threads it.
 type Ctx = any
 
-// Runtime abstracts the futures machinery an algorithm needs: forking a
-// task and creating one-shot cells for tree edges.
+// Runtime abstracts the task machinery an algorithm needs. Cells are
+// made by NewCell and DoneCell, which know both implementations:
+// GoRuntime and *SchedRuntime.
 type Runtime interface {
 	// Name identifies the runtime in benchmark output.
 	Name() string
 	// Fork schedules f as an independent task. ctx must be the value the
 	// caller's own task received (or nil from outside the runtime).
 	Fork(ctx Ctx, f func(Ctx))
-	// NewNode returns a fresh unwritten tree-edge cell.
-	NewNode() NodeCell
-	// DoneNode returns a cell already holding n.
-	DoneNode(n *RNode) NodeCell
-	// NewT26 returns a fresh unwritten 2-6-tree-edge cell.
-	NewT26() T26Cell
-	// DoneT26 returns a cell already holding n.
-	DoneT26(n *RT26Node) T26Cell
+}
+
+// Cell is a one-shot future on some runtime: a tree edge, a list tail,
+// or an algorithm's result.
+type Cell[T any] interface {
+	// Write resolves the cell. Writing twice panics.
+	Write(ctx Ctx, v T)
+	// Touch runs k(ctx', v) once the cell is written: immediately when it
+	// already is, otherwise by suspending k until the write.
+	Touch(ctx Ctx, k func(Ctx, T))
+	// TryRead returns the value and true if the cell is written, without
+	// waiting.
+	TryRead() (T, bool)
+	// Read blocks until the cell is written. Call it only from outside
+	// the runtime's workers (tests, converters, benchmarks).
+	Read() T
 }
 
 // NodeCell is a one-shot future holding a treap/BST node.
-type NodeCell interface {
-	// Write resolves the cell. Writing twice panics.
-	Write(ctx Ctx, n *RNode)
-	// Touch runs k(ctx', n) once the cell is written: immediately when it
-	// already is, otherwise by suspending k until the write.
-	Touch(ctx Ctx, k func(Ctx, *RNode))
-	// Read blocks until the cell is written. Call it only from outside
-	// the runtime's workers (tests, converters, benchmarks).
-	Read() *RNode
-}
+type NodeCell = Cell[*RNode]
 
 // T26Cell is a one-shot future holding a 2-6 tree node.
-type T26Cell interface {
-	Write(ctx Ctx, n *RT26Node)
-	Touch(ctx Ctx, k func(Ctx, *RT26Node))
-	Read() *RT26Node
+type T26Cell = Cell[*RT26Node]
+
+// NewCell returns a fresh unwritten cell on runtime r.
+func NewCell[T any](r Runtime) Cell[T] {
+	switch r := r.(type) {
+	case *SchedRuntime:
+		return newSchedCell[T](r)
+	case GoRuntime:
+		return newGoCell[T]()
+	}
+	panic(fmt.Sprintf("paralg: unsupported Runtime %T", r))
 }
 
-// RNode is the runtime-portable analogue of Node: a BST/treap node whose
-// children are NodeCells. A cell holding nil is an empty subtree.
+// DoneCell returns a cell on runtime r already holding v. On the sched
+// runtime it counts in CellsShared, so per-runtime cell budgets include
+// converter-built inputs.
+func DoneCell[T any](r Runtime, v T) Cell[T] {
+	switch r := r.(type) {
+	case *SchedRuntime:
+		return doneSchedCell(r, v)
+	case GoRuntime:
+		return doneGoCell(v)
+	}
+	panic(fmt.Sprintf("paralg: unsupported Runtime %T", r))
+}
+
+// RNode is a BST/treap node whose children are cells. A cell holding
+// nil is an empty subtree.
 type RNode struct {
 	Key   int
 	Prio  int64
@@ -71,7 +90,7 @@ type RNode struct {
 	Right NodeCell
 }
 
-// RT26Node is the runtime-portable analogue of T26Node.
+// RT26Node is a 2-6 tree node whose children are cells (Section 3.4).
 type RT26Node struct {
 	Keys []int
 	Kids []T26Cell // nil for leaf
@@ -80,61 +99,22 @@ type RT26Node struct {
 // IsLeaf reports whether n is a leaf.
 func (n *RT26Node) IsLeaf() bool { return len(n.Kids) == 0 }
 
-// RConfig pairs a Runtime with the granularity knob, mirroring Config.
-type RConfig struct {
-	R Runtime
-	// SpawnDepth bounds parallel recursion exactly as Config.SpawnDepth:
-	// forks at recursion depth < SpawnDepth become runtime tasks, deeper
-	// ones run inline in the caller.
-	SpawnDepth int
-	// Deprecated: no effect; kept only because the benchmark harness names them.
-	Discipline CellDiscipline
-	// GrainCutoff coarsens below-cutoff subtrees into chunk cells (see
-	// grain.go): subtrees of at most GrainCutoff nodes are built and
-	// combined by the plain sequential seqtreap code behind a single
-	// born-written cell, instead of one scheduler cell per node. Zero or
-	// negative disables coarsening. Every entry point that reads it
-	// carries the verdict manifest's seqsafe proof; the 2-6-tree entries
-	// never coarsen. internal/verifycross fails if a new entry point
-	// lacks either (TestSeqSafeCoversEveryCoarsenedEntry).
-	GrainCutoff int
-}
-
-// CellDiscipline once selected specialized cell variants per call.
-//
-// Deprecated: no effect; kept only because the benchmark harness names them.
-type CellDiscipline int
-
-// LinearCells is a CellDiscipline value.
-//
-// Deprecated: no effect; kept only because the benchmark harness names them.
-const LinearCells CellDiscipline = 1
-
-// fork runs f as a task when the depth is above the grain, else inline.
-func (c RConfig) fork(ctx Ctx, d int, f func(Ctx)) {
-	if d < c.SpawnDepth {
-		c.R.Fork(ctx, f)
-		return
-	}
-	f(ctx)
-}
-
 // --- converters -----------------------------------------------------------
 
 // RFromSeqTree converts a sequential BST into a materialized cell tree.
 func RFromSeqTree(r Runtime, t *seqtree.Node) NodeCell {
 	if t == nil {
-		return r.DoneNode(nil)
+		return DoneCell[*RNode](r, nil)
 	}
-	return r.DoneNode(&RNode{Key: t.Key, Left: RFromSeqTree(r, t.Left), Right: RFromSeqTree(r, t.Right)})
+	return DoneCell(r, &RNode{Key: t.Key, Left: RFromSeqTree(r, t.Left), Right: RFromSeqTree(r, t.Right)})
 }
 
 // RFromSeqTreap converts a sequential treap into a materialized cell tree.
 func RFromSeqTreap(r Runtime, t *seqtreap.Node) NodeCell {
 	if t == nil {
-		return r.DoneNode(nil)
+		return DoneCell[*RNode](r, nil)
 	}
-	return r.DoneNode(&RNode{Key: t.Key, Prio: t.Prio, Left: RFromSeqTreap(r, t.Left), Right: RFromSeqTreap(r, t.Right)})
+	return DoneCell(r, &RNode{Key: t.Key, Prio: t.Prio, Left: RFromSeqTreap(r, t.Left), Right: RFromSeqTreap(r, t.Right)})
 }
 
 // RToSeqTree reads the whole tree (blocking until complete) back into a
@@ -173,7 +153,7 @@ func RFromSeqT26(r Runtime, t *t26.Node) T26Cell {
 	for _, kid := range t.Kids {
 		n.Kids = append(n.Kids, RFromSeqT26(r, kid))
 	}
-	return r.DoneT26(n)
+	return DoneCell(r, n)
 }
 
 // RToSeqT26 reads the whole tree back (blocking until complete).
@@ -194,40 +174,21 @@ func RWaitT26(t T26Cell) {
 	}
 }
 
-// --- GoRuntime ------------------------------------------------------------
+// RFromSlice builds a fully materialized list.
+func RFromSlice(r Runtime, xs []int) Cell[*RLNode] {
+	tail := DoneCell[*RLNode](r, nil)
+	for i := len(xs) - 1; i >= 0; i-- {
+		tail = DoneCell(r, &RLNode{Head: xs[i], Tail: tail})
+	}
+	return tail
+}
 
-// GoRuntime runs forks as goroutines and cells as future.Cell — the
-// classic runtime of this package behind the portable interface. Touch
-// blocks the calling goroutine on Read, so suspension costs a goroutine;
-// that is exactly the cost the sched runtime removes.
-type GoRuntime struct{}
-
-// Name implements Runtime.
-func (GoRuntime) Name() string { return "go" }
-
-// Fork implements Runtime.
-func (GoRuntime) Fork(_ Ctx, f func(Ctx)) { go f(nil) }
-
-// NewNode implements Runtime.
-func (GoRuntime) NewNode() NodeCell { return goNodeCell{future.New[*RNode]()} }
-
-// DoneNode implements Runtime.
-func (GoRuntime) DoneNode(n *RNode) NodeCell { return goNodeCell{future.Done(n)} }
-
-// NewT26 implements Runtime.
-func (GoRuntime) NewT26() T26Cell { return goT26Cell{future.New[*RT26Node]()} }
-
-// DoneT26 implements Runtime.
-func (GoRuntime) DoneT26(n *RT26Node) T26Cell { return goT26Cell{future.Done(n)} }
-
-type goNodeCell struct{ c *future.Cell[*RNode] }
-
-func (g goNodeCell) Write(_ Ctx, n *RNode)              { g.c.Write(n) }
-func (g goNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) { k(ctx, g.c.Read()) }
-func (g goNodeCell) Read() *RNode                       { return g.c.Read() }
-
-type goT26Cell struct{ c *future.Cell[*RT26Node] }
-
-func (g goT26Cell) Write(_ Ctx, n *RT26Node)              { g.c.Write(n) }
-func (g goT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) { k(ctx, g.c.Read()) }
-func (g goT26Cell) Read() *RT26Node                       { return g.c.Read() }
+// RToSlice reads the whole list (blocking as needed). External callers
+// only.
+func RToSlice(l Cell[*RLNode]) []int {
+	var out []int
+	for n := l.Read(); n != nil; n = n.Tail.Read() {
+		out = append(out, n.Head)
+	}
+	return out
+}

@@ -68,24 +68,6 @@ func (s *SchedRuntime) Fork(ctx Ctx, f func(Ctx)) {
 	s.RT.Fork(asWorker(ctx), func(w *sched.Worker) { f(w) })
 }
 
-// NewNode implements Runtime.
-func (s *SchedRuntime) NewNode() NodeCell { return schedNodeCell{sched.NewCell[*RNode](s.RT)} }
-
-// DoneNode implements Runtime. The born-written cell is counted in the
-// runtime's CellsShared (sched.DoneOn), so per-runtime cell budgets
-// include converter-built input trees.
-func (s *SchedRuntime) DoneNode(n *RNode) NodeCell {
-	return schedNodeCell{sched.DoneOn(s.RT, n)}
-}
-
-// NewT26 implements Runtime.
-func (s *SchedRuntime) NewT26() T26Cell { return schedT26Cell{sched.NewCell[*RT26Node](s.RT)} }
-
-// DoneT26 implements Runtime.
-func (s *SchedRuntime) DoneT26(n *RT26Node) T26Cell {
-	return schedT26Cell{sched.DoneOn(s.RT, n)}
-}
-
 // asWorker recovers the scheduling context; a nil or foreign ctx means
 // "not on a worker", which sched treats as an external submission.
 func asWorker(ctx Ctx) *sched.Worker {
@@ -93,18 +75,29 @@ func asWorker(ctx Ctx) *sched.Worker {
 	return w
 }
 
-type schedNodeCell struct{ c *sched.Cell[*RNode] }
+// schedCell adapts a sched.Cell to Cell. Like goCell it is a
+// single-pointer struct, so converting it to the interface allocates
+// nothing.
+type schedCell[T any] struct{ c *sched.Cell[T] }
 
-func (s schedNodeCell) Write(ctx Ctx, n *RNode) { s.c.Write(asWorker(ctx), n) }
-func (s schedNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RNode) { k(w, n) })
+func newSchedCell[T any](s *SchedRuntime) Cell[T] { return schedCell[T]{sched.NewCell[T](s.RT)} }
+
+// doneSchedCell counts the born-written cell in the runtime's
+// CellsShared (sched.DoneOn), so per-runtime cell budgets include
+// converter-built input trees.
+func doneSchedCell[T any](s *SchedRuntime, v T) Cell[T] { return schedCell[T]{sched.DoneOn(s.RT, v)} }
+
+func (s schedCell[T]) Write(ctx Ctx, v T) { s.c.Write(asWorker(ctx), v) }
+
+// Touch calls k directly on a written cell: only a suspension needs the
+// adapter closure from k to sched's continuation type.
+func (s schedCell[T]) Touch(ctx Ctx, k func(Ctx, T)) {
+	w := asWorker(ctx)
+	if v, ok := s.c.TryRead(); ok {
+		k(w, v)
+		return
+	}
+	s.c.Touch(w, func(w *sched.Worker, v T) { k(w, v) })
 }
-func (s schedNodeCell) Read() *RNode { return s.c.Read() }
-
-type schedT26Cell struct{ c *sched.Cell[*RT26Node] }
-
-func (s schedT26Cell) Write(ctx Ctx, n *RT26Node) { s.c.Write(asWorker(ctx), n) }
-func (s schedT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RT26Node) { k(w, n) })
-}
-func (s schedT26Cell) Read() *RT26Node { return s.c.Read() }
+func (s schedCell[T]) TryRead() (T, bool) { return s.c.TryRead() }
+func (s schedCell[T]) Read() T            { return s.c.Read() }

@@ -1,146 +1,130 @@
 package paralg
 
+// 2-6 tree insertion (Section 3.4) in continuation-passing style. The
+// root of each insertion's result is written as soon as its key
+// structure is decided, so the next well-separated key array starts
+// descending while the previous one is still working its way down.
+
 import (
 	"fmt"
 	"sort"
 
-	"pipefut/internal/future"
 	"pipefut/internal/t26"
 )
 
-// T26Node is a 2-6 tree node whose children are future cells — the
-// Section 3.4 structure executed for real: the root of each insertion's
-// result is written as soon as its key structure is decided, so the next
-// well-separated key array starts descending while the previous one is
-// still working its way down.
-type T26Node struct {
-	Keys []int
-	Kids []*future.Cell[*T26Node] // nil for leaf
-}
+const t26SplitThreshold = 3
 
-// T26 is a (possibly future) reference to a 2-6 tree.
-type T26 = *future.Cell[*T26Node]
-
-// IsLeaf reports whether n is a leaf.
-func (n *T26Node) IsLeaf() bool { return len(n.Kids) == 0 }
-
-// FromSeqT26 converts a sequential 2-6 tree into a materialized cell tree.
-func FromSeqT26(t *t26.Node) T26 {
-	n := &T26Node{Keys: append([]int(nil), t.Keys...)}
-	for _, kid := range t.Kids {
-		n.Kids = append(n.Kids, FromSeqT26(kid))
+// T26Insert inserts one well-separated sorted key array (Section 3.4) on
+// runtime c.R and returns the new root cell immediately.
+func (c RConfig) T26Insert(ctx Ctx, tree T26Cell, ws []int) T26Cell {
+	out := NewCell[*RT26Node](c.R)
+	run := func(ctx Ctx) {
+		tree.Touch(ctx, func(ctx Ctx, n *RT26Node) {
+			if len(ws) == 0 {
+				out.Write(ctx, n)
+				return
+			}
+			if len(n.Keys) >= t26SplitThreshold {
+				l, mid, r := splitRT26Node(n)
+				n = &RT26Node{Keys: []int{mid}, Kids: []T26Cell{DoneCell(c.R, l), DoneCell(c.R, r)}}
+			}
+			c.t26InsertInto(ctx, 0, n, ws, out)
+		})
 	}
-	return future.Done(n)
-}
-
-// ToSeqT26 reads the whole tree back (blocking until complete).
-func ToSeqT26(t T26) *t26.Node {
-	n := t.Read()
-	out := &t26.Node{Keys: append([]int(nil), n.Keys...)}
-	for _, kid := range n.Kids {
-		out.Kids = append(out.Kids, ToSeqT26(kid))
+	if c.SpawnDepth > 0 {
+		c.R.Fork(ctx, run)
+	} else {
+		run(ctx)
 	}
 	return out
 }
 
-// WaitT26 blocks until every cell of the tree is written.
-func WaitT26(t T26) {
-	n := t.Read()
-	for _, kid := range n.Kids {
-		WaitT26(kid)
+// T26BulkInsert pipelines the level arrays through the tree: each
+// insertion starts as soon as the previous root cell is written.
+func (c RConfig) T26BulkInsert(ctx Ctx, tree T26Cell, levels [][]int) T26Cell {
+	for _, lv := range levels {
+		tree = c.T26Insert(ctx, tree, lv)
 	}
+	return tree
 }
 
-const t26SplitThreshold = 3
-
-// T26Insert inserts one well-separated sorted key array and returns the
-// new root immediately; children materialize concurrently.
-func (c Config) T26Insert(tree T26, ws []int) T26 {
-	body := func() *T26Node {
-		n := tree.Read()
-		if len(ws) == 0 {
-			return n
-		}
-		if len(n.Keys) >= t26SplitThreshold {
-			l, mid, r := splitT26Node(n)
-			n = &T26Node{Keys: []int{mid}, Kids: []*future.Cell[*T26Node]{
-				future.Done(l), future.Done(r),
-			}}
-		}
-		return c.t26InsertBody(0, n, ws)
-	}
-	if c.SpawnDepth > 0 {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
-}
-
-func splitT26Node(n *T26Node) (l *T26Node, mid int, r *T26Node) {
+func splitRT26Node(n *RT26Node) (l *RT26Node, mid int, r *RT26Node) {
 	m := len(n.Keys) / 2
 	mid = n.Keys[m]
-	l = &T26Node{Keys: append([]int(nil), n.Keys[:m]...)}
-	r = &T26Node{Keys: append([]int(nil), n.Keys[m+1:]...)}
+	l = &RT26Node{Keys: append([]int(nil), n.Keys[:m]...)}
+	r = &RT26Node{Keys: append([]int(nil), n.Keys[m+1:]...)}
 	if !n.IsLeaf() {
-		l.Kids = append([]*future.Cell[*T26Node](nil), n.Kids[:m+1]...)
-		r.Kids = append([]*future.Cell[*T26Node](nil), n.Kids[m+1:]...)
+		l.Kids = append([]T26Cell(nil), n.Kids[:m+1]...)
+		r.Kids = append([]T26Cell(nil), n.Kids[m+1:]...)
 	}
 	return l, mid, r
 }
 
-func (c Config) t26InsertBody(d int, n *T26Node, ws []int) *T26Node {
+// t26InsertInto inserts ws below the already-read node n: the
+// descending loop over partitions is a continuation chain, each child
+// touch resuming the loop at the next lower index. newKeys/newKids are touched by exactly
+// one continuation at a time (the chain is a single logical thread;
+// the cell's write→touch edge orders the handoff), so no locking.
+func (c RConfig) t26InsertInto(ctx Ctx, d int, n *RT26Node, ws []int, out T26Cell) {
 	if n.IsLeaf() {
 		merged := mergeUniqueKeys(n.Keys, ws)
 		if len(merged) > t26.MaxKeys {
 			panic(fmt.Sprintf("paralg: leaf would hold %d keys — insert array not well separated", len(merged)))
 		}
-		return &T26Node{Keys: merged}
+		out.Write(ctx, &RT26Node{Keys: merged})
+		return
 	}
 	parts := partitionKeys(ws, n.Keys)
 	newKeys := append([]int(nil), n.Keys...)
-	newKids := append([]*future.Cell[*T26Node](nil), n.Kids...)
-	for i := len(parts) - 1; i >= 0; i-- {
-		sub := parts[i]
-		if len(sub) == 0 {
-			continue
-		}
-		child := newKids[i].Read()
-		if len(child.Keys) >= t26SplitThreshold {
-			l, mid, r := splitT26Node(child)
-			wl, wr := splitKeysAround(sub, mid)
-			nl, nr := future.Done(l), future.Done(r)
-			if len(wl) > 0 {
-				nl = c.t26Recurse(d+1, l, wl)
+	newKids := append([]T26Cell(nil), n.Kids...)
+	var step func(ctx Ctx, i int)
+	step = func(ctx Ctx, i int) {
+		for ; i >= 0; i-- {
+			sub := parts[i]
+			if len(sub) == 0 {
+				continue
 			}
-			if len(wr) > 0 {
-				nr = c.t26Recurse(d+1, r, wr)
-			}
-			newKeys = insertKeyAt(newKeys, i, mid)
-			newKids[i] = nl
-			newKids = insertT26At(newKids, i+1, nr)
-		} else {
-			newKids[i] = c.t26Recurse(d+1, child, sub)
+			i := i
+			newKids[i].Touch(ctx, func(ctx Ctx, child *RT26Node) {
+				if len(child.Keys) >= t26SplitThreshold {
+					l, mid, r := splitRT26Node(child)
+					wl, wr := splitKeysAround(sub, mid)
+					nl, nr := DoneCell(c.R, l), DoneCell(c.R, r)
+					if len(wl) > 0 {
+						nl = c.rt26Recurse(ctx, d+1, l, wl)
+					}
+					if len(wr) > 0 {
+						nr = c.rt26Recurse(ctx, d+1, r, wr)
+					}
+					newKeys = insertKeyAt(newKeys, i, mid)
+					newKids[i] = nl
+					newKids = insertT26CellAt(newKids, i+1, nr)
+				} else {
+					newKids[i] = c.rt26Recurse(ctx, d+1, child, sub)
+				}
+				step(ctx, i-1)
+			})
+			return // the loop continues inside the touch continuation
 		}
+		if len(newKeys) > t26.MaxKeys {
+			panic(fmt.Sprintf("paralg: node would hold %d keys — invariant violated", len(newKeys)))
+		}
+		out.Write(ctx, &RT26Node{Keys: newKeys, Kids: newKids})
 	}
-	if len(newKeys) > t26.MaxKeys {
-		panic(fmt.Sprintf("paralg: node would hold %d keys — invariant violated", len(newKeys)))
-	}
-	return &T26Node{Keys: newKeys, Kids: newKids}
+	step(ctx, len(parts)-1)
 }
 
-func (c Config) t26Recurse(d int, n *T26Node, ws []int) T26 {
-	if c.spawn(d) {
-		return future.Spawn(func() *T26Node { return c.t26InsertBody(d, n, ws) })
-	}
-	return future.Done(c.t26InsertBody(d, n, ws))
+func (c RConfig) rt26Recurse(ctx Ctx, d int, n *RT26Node, ws []int) T26Cell {
+	out := NewCell[*RT26Node](c.R)
+	c.fork(ctx, d, func(ctx Ctx) { c.t26InsertInto(ctx, d, n, ws, out) })
+	return out
 }
 
-// T26BulkInsert pipelines the level arrays through the tree: each
-// insertion starts as soon as the previous root cell is written.
-func (c Config) T26BulkInsert(tree T26, levels [][]int) T26 {
-	for _, lv := range levels {
-		tree = c.T26Insert(tree, lv)
-	}
-	return tree
+func insertT26CellAt(xs []T26Cell, i int, v T26Cell) []T26Cell {
+	xs = append(xs, nil)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
 }
 
 // --- sorted-array helpers (same semantics as the sequential oracle) ------
@@ -170,13 +154,6 @@ func splitKeysAround(ws []int, k int) (lt, gt []int) {
 
 func insertKeyAt(xs []int, i, v int) []int {
 	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
-}
-
-func insertT26At(xs []*future.Cell[*T26Node], i int, v *future.Cell[*T26Node]) []*future.Cell[*T26Node] {
-	xs = append(xs, nil)
 	copy(xs[i+1:], xs[i:])
 	xs[i] = v
 	return xs

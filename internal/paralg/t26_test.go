@@ -1,7 +1,7 @@
 package paralg
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,37 +10,30 @@ import (
 	"pipefut/internal/workload"
 )
 
+// TestT26BulkInsertMatchesOracleProperty chains two bulk inserts, so
+// the second one descends a tree the first is still building.
 func TestT26BulkInsertMatchesOracleProperty(t *testing.T) {
-	f := func(seed uint16, n8, m8, cfgPick uint8) bool {
-		n, m := int(n8%150)+1, int(m8%150)+1
-		rng := workload.NewRNG(uint64(seed))
-		all := workload.DistinctKeys(rng, n+m, 4*(n+m))
-		base := t26.FromKeys(all[:n])
-		ins := append([]int(nil), all[n:]...)
-		sort.Ints(ins)
-		levels := workload.WellSeparatedLevels(ins)
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
+			n, m := int(n8%150)+1, int(m8%150)+2
+			rng := workload.NewRNG(uint64(seed))
+			all := workload.DistinctKeys(rng, n+m, 4*(n+m))
+			base := t26.FromKeys(all[:n])
+			ins1 := slices.Sorted(slices.Values(all[n : n+m/2]))
+			ins2 := slices.Sorted(slices.Values(all[n+m/2:]))
 
-		cfg := testCfgs[int(cfgPick)%len(testCfgs)]
-		got := ToSeqT26(cfg.T26BulkInsert(FromSeqT26(base), levels))
-		if ok, _ := t26.Check(got); !ok {
-			return false
-		}
-		want := append([]int{}, all...)
-		sort.Ints(want)
-		gotKeys := t26.Keys(got)
-		if len(gotKeys) != len(want) {
-			return false
-		}
-		for i := range want {
-			if gotKeys[i] != want[i] {
+			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
+			mid := cfg.T26BulkInsert(nil, RFromSeqT26(r, base), workload.WellSeparatedLevels(ins1))
+			got := RToSeqT26(cfg.T26BulkInsert(nil, mid, workload.WellSeparatedLevels(ins2)))
+			if ok, _ := t26.Check(got); !ok {
 				return false
 			}
+			return slices.Equal(t26.Keys(got), slices.Sorted(slices.Values(all)))
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestT26PipelinedWavesOverlapSafely(t *testing.T) {
@@ -48,41 +41,31 @@ func TestT26PipelinedWavesOverlapSafely(t *testing.T) {
 	rng := workload.NewRNG(9)
 	all := workload.DistinctKeys(rng, 20000, 1<<20)
 	base := t26.FromKeys(all[:10000])
-	ins := append([]int(nil), all[10000:]...)
-	sort.Ints(ins)
-	cfg := Config{SpawnDepth: 32}
-	got := cfg.T26BulkInsert(FromSeqT26(base), workload.WellSeparatedLevels(ins))
-	WaitT26(got)
-	res := ToSeqT26(got)
-	if ok, why := t26.Check(res); !ok {
-		t.Fatal(why)
-	}
-	if t26.Size(res) != 20000 {
-		t.Fatalf("size = %d", t26.Size(res))
-	}
+	ins := slices.Sorted(slices.Values(all[10000:]))
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		cfg := RConfig{R: r, SpawnDepth: 32}
+		got := cfg.T26BulkInsert(nil, RFromSeqT26(r, base), workload.WellSeparatedLevels(ins))
+		RWaitT26(got)
+		res := RToSeqT26(got)
+		if ok, why := t26.Check(res); !ok {
+			t.Fatal(why)
+		}
+		if t26.Size(res) != 20000 {
+			t.Fatalf("size = %d", t26.Size(res))
+		}
+	})
 }
 
 func TestT26InsertEmptyArray(t *testing.T) {
-	base := t26.FromKeys([]int{1, 2, 3})
-	got := DefaultConfig.T26Insert(FromSeqT26(base), nil)
-	if t26.Size(ToSeqT26(got)) != 3 {
-		t.Fatal("no-op insert changed the tree")
-	}
+	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+		base := t26.FromKeys([]int{1, 2, 3})
+		got := RConfig{R: r, SpawnDepth: DefaultSpawnDepth}.T26Insert(nil, RFromSeqT26(r, base), nil)
+		if t26.Size(RToSeqT26(got)) != 3 {
+			t.Fatal("no-op insert changed the tree")
+		}
+	})
 }
 
 func TestIntersectMatchesOracleProperty(t *testing.T) {
-	f := func(seed uint16, n8, m8, cfgPick uint8) bool {
-		n, m := int(n8%100)+1, int(m8%100)+1
-		rng := workload.NewRNG(uint64(seed))
-		ka, kb := workload.OverlappingKeySets(rng, n, m, float64(cfgPick%4)/4)
-		ta, tb := seqtreap.FromKeys(ka), seqtreap.FromKeys(kb)
-		want := seqtreap.Intersect(ta, tb)
-
-		cfg := testCfgs[int(cfgPick)%len(testCfgs)]
-		got := cfg.Intersect(FromSeqTreap(ta), FromSeqTreap(tb))
-		return seqtreap.Equal(ToSeqTreap(got), want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	setOpProperty(t, func(c RConfig, a, b NodeCell) NodeCell { return c.Intersect(nil, a, b) }, seqtreap.Intersect)
 }

@@ -21,7 +21,7 @@ func fillStore(t *testing.T, dir string, from, to uint64) {
 		t.Fatal(err)
 	}
 	for seq := from; seq <= to; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestCrashTornTail(t *testing.T) {
 		// Appending after torn-tail truncation must resume densely and
 		// survive the next recovery.
 		next := rec.LastSeq + 1
-		if err := st.Append(Record{Seq: next, Kind: KindUnion, Keys: []int{int(next)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: next, Kind: KindUnion, Keys: []int{int(next)}}, nil); err != nil {
 			t.Fatalf("cut=%d: append after truncate: %v", cut, err)
 		}
 		if err := st.Close(); err != nil {
@@ -116,7 +116,7 @@ func TestCrashDuringSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 6; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestCrashCorruptNewestSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 4; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,14 +195,14 @@ func TestCrashMissingSnapshotWithRotatedLogErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := st.Snapshot(5, []int{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(Record{Seq: 6, Kind: KindUnion, Keys: []int{6}}, nil); err != nil {
+	if err := st.Log(Record{Seq: 6, Kind: KindUnion, Keys: []int{6}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -232,7 +232,7 @@ func TestCrashMidChainCorruptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 4; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestCrashMidChainCorruptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(5); seq <= 8; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -105,6 +105,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// ackOK is a durability callback that expects success and counts down
+// wg.
+func ackOK(t *testing.T, wg *sync.WaitGroup) func(error) {
+	return func(err error) {
+		if err != nil {
+			t.Errorf("durability callback failed: %v", err)
+		}
+		wg.Done()
+	}
+}
+
 func TestStoreAppendRecover(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncBatch, FsyncNever, FsyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -119,7 +130,7 @@ func TestStoreAppendRecover(t *testing.T) {
 			var wg sync.WaitGroup
 			for seq := uint64(1); seq <= 20; seq++ {
 				wg.Add(1)
-				if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, wg.Done); err != nil {
+				if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, ackOK(t, &wg)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -158,7 +169,7 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 6; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +179,7 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(7); seq <= 12; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +212,7 @@ func TestRotateKeepsMixedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,10 +240,10 @@ func TestAppendNonDenseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Append(Record{Seq: 1, Kind: KindUnion, Keys: []int{1}}, nil); err != nil {
+	if err := st.Log(Record{Seq: 1, Kind: KindUnion, Keys: []int{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(Record{Seq: 3, Kind: KindUnion, Keys: []int{3}}, nil); err == nil {
+	if err := st.Log(Record{Seq: 3, Kind: KindUnion, Keys: []int{3}}, nil); err == nil {
 		t.Fatal("gap append accepted")
 	}
 }
@@ -244,7 +255,7 @@ func TestOpenGapBetweenSnapshotAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 8; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +263,7 @@ func TestOpenGapBetweenSnapshotAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(9); seq <= 12; seq++ {
-		if err := st.Append(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
+		if err := st.Log(Record{Seq: seq, Kind: KindUnion, Keys: []int{int(seq)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +288,7 @@ func TestStatsShape(t *testing.T) {
 	defer st.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	if err := st.Append(Record{Seq: 1, Kind: KindUnion, Keys: []int{1, 2}}, wg.Done); err != nil {
+	if err := st.Log(Record{Seq: 1, Kind: KindUnion, Keys: []int{1, 2}}, ackOK(t, &wg)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

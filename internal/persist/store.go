@@ -99,10 +99,28 @@ func OpenShard(dir string, opts Options) (*ShardStore, Recovery, error) {
 	return st, Recovery{SnapshotSeq: snapSeq, Keys: keys, Records: suffix, LastSeq: lastSeq, Torn: torn}, nil
 }
 
-// Append logs one coalesced run; onDurable fires (on the flusher
-// goroutine) once the record is durable under the fsync policy.
-func (s *ShardStore) Append(r Record, onDurable func()) error {
+// Log appends one coalesced run to the WAL; onDurable fires (on the
+// flusher goroutine) with nil once the record is durable under the
+// fsync policy, or with the WAL's sticky error once it cannot be. After
+// an I/O error Log returns that error and logs nothing.
+func (s *ShardStore) Log(r Record, onDurable func(error)) error {
 	return s.wal.Append(r, onDurable)
+}
+
+// Append is Log with a callback that fires only on success.
+//
+// Deprecated: a failed flush never fires onDurable, so the caller
+// cannot tell it from a slow one; use Log. Kept only because the
+// benchmark harness names it.
+func (s *ShardStore) Append(r Record, onDurable func()) error {
+	if onDurable == nil {
+		return s.wal.Append(r, nil)
+	}
+	return s.wal.Append(r, func(err error) {
+		if err == nil {
+			onDurable()
+		}
+	})
 }
 
 // Sync is a durability barrier over the WAL regardless of policy.

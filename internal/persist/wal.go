@@ -7,6 +7,12 @@ package persist
 // it never blocks on trees. The flusher retires the pending buffer with
 // one write (plus one fsync, per policy) and fires every callback the
 // write covered; callbacks are what gate request acks in serve.
+//
+// A failed write or fsync is sticky. After one, the state of the file
+// is unknown, so the WAL never retries the fsync and never treats the
+// data as durable: the failed flush and every later one fire their
+// callbacks with the error, acked stops advancing, and Append refuses
+// new records.
 
 import (
 	"fmt"
@@ -56,7 +62,7 @@ type WAL struct {
 	f       *os.File
 	segs    []segment
 	pending []byte
-	waiters []func()
+	waiters []func(error)
 	lastSeq uint64
 	closed  bool
 	firstE  error
@@ -80,13 +86,19 @@ func (w *WAL) start() {
 }
 
 // Append buffers one record and registers onDurable (may be nil) to
-// fire once the record is durable under the policy. Records must carry
-// dense seqs: exactly lastSeq+1. Append itself never performs I/O.
-func (w *WAL) Append(r Record, onDurable func()) error {
+// fire once the record is durable under the policy, with nil, or once
+// the WAL has failed to make it durable, with the sticky error. Records
+// must carry dense seqs: exactly lastSeq+1. Append itself never performs
+// I/O; after an I/O error it returns that error and buffers nothing.
+func (w *WAL) Append(r Record, onDurable func(error)) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return fmt.Errorf("persist: append to closed WAL in %s", w.dir)
+	}
+	if err := w.firstE; err != nil {
+		w.mu.Unlock()
+		return err
 	}
 	if r.Seq != w.lastSeq+1 {
 		w.mu.Unlock()
@@ -134,33 +146,43 @@ func (w *WAL) flusher() {
 // flush retires the pending buffer: one write, one optional fsync, then
 // every covered durability callback. barrier forces the fsync even with
 // nothing pending (the Sync contract: all prior writes on stable
-// storage when it returns).
+// storage when it returns). Once an I/O error is sticky, flush does no
+// I/O and fails every callback with it.
 func (w *WAL) flush(sync, barrier bool) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.mu.Lock()
-	buf, ws, seq, f := w.pending, w.waiters, w.lastSeq, w.f
+	buf, ws, seq, f, err := w.pending, w.waiters, w.lastSeq, w.f, w.firstE
 	w.pending, w.waiters = nil, nil
 	w.mu.Unlock()
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			w.setErr(err)
+	if err == nil && len(buf) > 0 {
+		if _, werr := writeFile(f, buf); werr != nil {
+			err = w.setErr(werr)
 		}
 		w.bytes.Add(int64(len(buf)))
 	}
-	if sync && (len(buf) > 0 || barrier) {
-		if err := f.Sync(); err != nil {
-			w.setErr(err)
+	if err == nil && sync && (len(buf) > 0 || barrier) {
+		if serr := syncFile(f); serr != nil {
+			err = w.setErr(serr)
 		}
 		w.syncs.Add(1)
 	}
-	// Monotone under ioMu: concurrent flushes are serialized and seq
-	// snapshots are nondecreasing.
-	w.acked.Store(seq)
+	if err == nil {
+		// Monotone under ioMu: concurrent flushes are serialized and seq
+		// snapshots are nondecreasing.
+		w.acked.Store(seq)
+	}
 	for _, fn := range ws {
-		fn()
+		fn(err)
 	}
 }
+
+// The WAL's write/sync seam: every segment write and fsync on the append
+// path goes through these, so tests can inject device errors.
+var (
+	writeFile = (*os.File).Write
+	syncFile  = (*os.File).Sync
+)
 
 // Sync is a durability barrier: when it returns, every record appended
 // before the call is written and fsynced regardless of policy (the
@@ -236,17 +258,19 @@ func (w *WAL) Close() error {
 	return w.Err()
 }
 
-func (w *WAL) setErr(err error) {
+// setErr records err unless an earlier error is already sticky, and
+// returns the sticky error.
+func (w *WAL) setErr(err error) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.firstE == nil {
 		w.firstE = fmt.Errorf("persist: wal %s: %w", w.dir, err)
 	}
-	w.mu.Unlock()
+	return w.firstE
 }
 
-// Err returns the first I/O error the WAL hit, if any. Durability
-// callbacks still fire after an error (liveness over stuck requests);
-// operators must watch this instead.
+// Err returns the first I/O error the WAL hit, if any. From then on
+// durability callbacks fire with it and Append refuses new records.
 func (w *WAL) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -135,7 +135,7 @@ type treapBackend struct{ pc paralg.RConfig }
 
 func (b treapBackend) Name() string { return "treap" }
 
-func (b treapBackend) Empty() State { return b.pc.R.DoneNode(nil) }
+func (b treapBackend) Empty() State { return paralg.DoneCell[*paralg.RNode](b.pc.R, nil) }
 
 // Prepare builds one operand treap over the whole batch and splits it at
 // the shard pivots (paralg.SplitRanges), so the per-shard pieces share

@@ -161,7 +161,8 @@ func (s *Server) handleKeys(w http.ResponseWriter, _ *http.Request) {
 
 // statusFor maps serving errors to HTTP codes: malformed requests are
 // 400 (client bug, don't retry), oversize bodies 413, shed load is 429
-// (retry later), draining is 503 (this instance is going away).
+// (retry later), draining is 503 (this instance is going away), and so
+// is a shard whose log failed (it takes no writes until restart).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
@@ -170,7 +171,7 @@ func statusFor(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrUnavailable):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

@@ -74,23 +74,38 @@ func pieceKeys(sorted []int, pivots []int, i int) []int {
 // durGate completes a run's requests once both arms arrive: the result
 // root published (ready, from the scheduler) and the record durable
 // (durable, from the WAL flusher). Whichever arrives last — on
-// whatever goroutine — releases the acks.
+// whatever goroutine — releases the acks, or, if the WAL failed to make
+// the record durable, fails the requests with ErrUnavailable.
 type durGate struct {
 	sh   *shard
 	run  []shardReq
 	v    uint64
 	open atomic.Int32
+	err  error // the WAL's error, set by durable before its countdown
 }
 
-func (g *durGate) durable()             { g.arrive(nil) }
+func (g *durGate) durable(err error)    { g.err = err; g.arrive(nil) }
 func (g *durGate) ready(ctx paralg.Ctx) { g.arrive(ctx) }
 func (g *durGate) arrive(ctx paralg.Ctx) {
 	if g.open.Add(-1) != 0 {
 		return
 	}
+	if g.err != nil {
+		g.sh.fail(ctx, g.run, g.err)
+		return
+	}
 	for _, r := range g.run {
 		g.sh.lat.record(time.Since(r.req.start))
-		r.req.finish(ctx, g.sh.idx, g.v)
+		r.req.finish(ctx, g.sh.idx, g.v, nil)
+	}
+}
+
+// fail completes the run's requests with ErrUnavailable wrapping the
+// WAL's error: nothing in the run is acknowledged.
+func (sh *shard) fail(ctx paralg.Ctx, run []shardReq, err error) {
+	err = fmt.Errorf("%w: shard %d: %w", ErrUnavailable, sh.idx, err)
+	for _, r := range run {
+		r.req.finish(ctx, sh.idx, 0, err)
 	}
 }
 

@@ -72,6 +72,12 @@ var (
 	// ErrDraining rejects a request because the server is draining or
 	// closed. The request was not applied.
 	ErrDraining = errors.New("serve: draining, not admitting requests")
+	// ErrUnavailable fails a mutation that a shard could not make
+	// durable: its write-ahead log hit an I/O error. The error is
+	// sticky, so the shard refuses every later mutation until restart;
+	// reads keep working. The failed mutation is not acknowledged; it
+	// may be visible to reads if it was applied before the log failed.
+	ErrUnavailable = errors.New("serve: unavailable, shard cannot persist writes")
 )
 
 // Cut is a per-shard version vector. For mutations, slot i holds the
@@ -208,7 +214,7 @@ func Open(cfg Config) (*Server, error) {
 		cfg.P = runtime.GOMAXPROCS(0)
 	}
 	if cfg.SpawnDepth <= 0 {
-		cfg.SpawnDepth = paralg.DefaultConfig.SpawnDepth
+		cfg.SpawnDepth = paralg.DefaultSpawnDepth
 	}
 	switch {
 	case cfg.GrainCutoff == 0:
@@ -451,6 +457,9 @@ func (s *Server) Apply(op Op, keys []int) (Cut, error) {
 	unlock()
 
 	cut, err := req.done.ReadErr() // ErrShutdown impossible under drain discipline; surface anyway
+	if p := req.err.Load(); err == nil && p != nil {
+		cut, err = nil, *p
+	}
 	s.met.completed.Add(1)
 	s.inflight.Done()
 	return cut, err

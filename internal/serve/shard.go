@@ -24,15 +24,19 @@ import (
 // is what the caller's Apply blocks on.
 type request struct {
 	start time.Time
-	cut   Cut          // per-shard versions; slot i written by shard i's piece
-	open  atomic.Int32 // pieces not yet published
+	cut   Cut                   // per-shard versions; slot i written by shard i's piece
+	open  atomic.Int32          // pieces not yet published
+	err   atomic.Pointer[error] // first piece failure, if any
 	done  *sched.Cell[Cut]
 }
 
-// finish records piece completion for shard idx at version v. Distinct
-// pieces write distinct cut slots; the atomic countdown orders every
-// slot write before the done write.
-func (r *request) finish(ctx paralg.Ctx, idx int, v uint64) {
+// finish records piece completion for shard idx at version v, or the
+// piece's failure err. Distinct pieces write distinct cut slots; the
+// atomic countdown orders every slot write before the done write.
+func (r *request) finish(ctx paralg.Ctx, idx int, v uint64, err error) {
+	if err != nil {
+		r.err.CompareAndSwap(nil, &err)
+	}
 	r.cut[idx] = v
 	if r.open.Add(-1) == 0 {
 		r.done.Write(asWorker(ctx), r.cut)
@@ -202,10 +206,12 @@ func (sh *shard) dispatch(run []shardReq) {
 		}
 		gate = &durGate{sh: sh, run: run, v: v}
 		gate.open.Store(2)
-		if err := sh.store.Append(persist.Record{Seq: v, Kind: kindOf(run[0].op), Keys: merged}, gate.durable); err != nil {
-			// Only a closed WAL or a seq bug lands here (I/O errors are
-			// asynchronous); don't strand the requests.
-			gate.durable()
+		if err := sh.store.Log(persist.Record{Seq: v, Kind: kindOf(run[0].op), Keys: merged}, gate.durable); err != nil {
+			// The WAL cannot log the run: it hit an I/O error (sticky, so
+			// the shard takes no more writes) or is closed. Apply nothing
+			// and ack nothing; the version stays put, keeping seqs dense.
+			sh.fail(nil, run, err)
+			return
 		}
 	}
 
@@ -232,7 +238,7 @@ func (sh *shard) dispatch(run []shardReq) {
 	be.Ready(next, func(ctx paralg.Ctx) {
 		for _, r := range run {
 			sh.lat.record(time.Since(r.req.start))
-			r.req.finish(ctx, sh.idx, v)
+			r.req.finish(ctx, sh.idx, v, nil)
 		}
 	})
 }

@@ -247,6 +247,12 @@ func (sp *staticPkg) classify(spec string) (EntryVerdict, error) {
 		return EntryVerdict{}, err
 	}
 	reach := reachableFuncs(fn)
+	if touchesOpaqueCells(reach) {
+		return EntryVerdict{
+			Class:  Unanalyzed,
+			Detail: "touches cells through an interface method (cells of an opaque runtime)",
+		}, nil
+	}
 	if !touchesCells(reach) {
 		return EntryVerdict{
 			Class:  Unanalyzed,
@@ -265,7 +271,7 @@ func (sp *staticPkg) classify(spec string) (EntryVerdict, error) {
 }
 
 // entry finds the function named by spec: "Merge" for a package-level
-// function, "Config.Merge" for a method.
+// function, "RConfig.Merge" for a method.
 func (sp *staticPkg) entry(spec string) (*ssa.Func, error) {
 	recv, name := "", spec
 	if i := strings.IndexByte(spec, '.'); i >= 0 {
@@ -341,6 +347,55 @@ func touchesCells(reach map[*ssa.Func]bool) bool {
 				case ssa.OpNewCell, ssa.OpFork, ssa.OpWrite, ssa.OpTouch:
 					return true
 				}
+			}
+		}
+	}
+	return false
+}
+
+// touchesOpaqueCells reports whether the entry's code touches or writes
+// a cell through an interface method (paralg's Cell). The analyses
+// cannot see such flows, though they may see the cells being created,
+// so no class can be claimed for them. Unlike reachableFuncs the search
+// also enters every function literal nested in reached code, wherever
+// it is passed: paralg hands its continuations to the runtime.
+func touchesOpaqueCells(reach map[*ssa.Func]bool) bool {
+	seen := make(map[*ssa.Func]bool, len(reach))
+	for fn := range reach {
+		seen[fn] = true
+	}
+	for grew := true; grew; {
+		grew = false
+		for fn := range seen {
+			for _, lit := range fn.Prog.Funcs {
+				if lit.Parent == fn && !seen[lit] {
+					for f := range reachableFuncs(lit) {
+						seen[f] = true
+					}
+					grew = true
+				}
+			}
+		}
+	}
+	for fn := range seen {
+		if callsCellMethodOfInterface(fn) {
+			return true
+		}
+	}
+	return false
+}
+
+func callsCellMethodOfInterface(fn *ssa.Func) bool {
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ssa.OpCall || in.CalleeObj == nil {
+				continue
+			}
+			if name := in.CalleeObj.Name(); name != "Touch" && name != "Write" {
+				continue
+			}
+			if recv := in.CalleeObj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				return true
 			}
 		}
 	}

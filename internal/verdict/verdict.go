@@ -105,21 +105,21 @@ func Meet(a, b Class) Class {
 // and verifycross asserts the mirror stays exact, so a new algorithm
 // cannot join the manifest without joining the dynamic harness.
 var Groups = map[string][]string{
-	"merge":             {"costalg.Merge", "costalg.Split", "costalg.SplitSeq", "paralg.Config.Merge", "paralg.RConfig.Merge"},
-	"union":             {"costalg.Union", "costalg.SplitM", "costalg.SplitMSeq", "paralg.Config.Union", "paralg.RConfig.Union"},
-	"intersect":         {"costalg.Intersect", "paralg.Config.Intersect", "paralg.RConfig.Intersect"},
-	"diff":              {"costalg.Diff", "paralg.Config.Diff", "paralg.RConfig.Diff"},
-	"join":              {"costalg.Join", "paralg.Config.Join", "paralg.RConfig.Join"},
-	"buildtreap":        {"costalg.BuildTreap", "costalg.InsertKeys", "costalg.DeleteKeys", "paralg.Config.BuildTreap", "paralg.Config.InsertKeys", "paralg.Config.DeleteKeys", "paralg.RConfig.BuildTreap", "paralg.RConfig.InsertKeys", "paralg.RConfig.DeleteKeys"},
-	"mergesort":         {"costalg.Mergesort", "paralg.Config.Mergesort"},
+	"merge":             {"costalg.Merge", "costalg.Split", "costalg.SplitSeq", "paralg.RConfig.Merge"},
+	"union":             {"costalg.Union", "costalg.SplitM", "costalg.SplitMSeq", "paralg.RConfig.Union"},
+	"intersect":         {"costalg.Intersect", "paralg.RConfig.Intersect"},
+	"diff":              {"costalg.Diff", "paralg.RConfig.Diff"},
+	"join":              {"costalg.Join", "paralg.RConfig.Join"},
+	"buildtreap":        {"costalg.BuildTreap", "costalg.InsertKeys", "costalg.DeleteKeys", "paralg.RConfig.BuildTreap", "paralg.RConfig.InsertKeys", "paralg.RConfig.DeleteKeys"},
+	"mergesort":         {"costalg.Mergesort", "paralg.RConfig.Mergesort"},
 	"mergesortbalanced": {"costalg.MergesortBalanced"},
-	"quicksort":         {"costalg.Quicksort", "costalg.PartitionF", "paralg.Config.Quicksort"},
-	"rebalance":         {"costalg.Annotate", "costalg.Rebalance", "costalg.SplitRank", "paralg.Config.Annotate", "paralg.Config.Rebalance"},
-	"mergebalanced":     {"costalg.MergeBalanced", "paralg.Config.MergeBalanced"},
-	"t26":               {"costalg.T26Insert", "costalg.T26BulkInsert", "paralg.Config.T26Insert", "paralg.Config.T26BulkInsert", "paralg.RConfig.T26Insert", "paralg.RConfig.T26BulkInsert"},
+	"quicksort":         {"costalg.Quicksort", "costalg.PartitionF", "paralg.RConfig.Quicksort"},
+	"rebalance":         {"costalg.Annotate", "costalg.Rebalance", "costalg.SplitRank", "paralg.RConfig.Annotate", "paralg.RConfig.Rebalance"},
+	"mergebalanced":     {"costalg.MergeBalanced", "paralg.RConfig.MergeBalanced"},
+	"t26":               {"costalg.T26Insert", "costalg.T26BulkInsert", "paralg.RConfig.T26Insert", "paralg.RConfig.T26BulkInsert"},
 	"nopipe":            {"costalg.MergeNoPipe", "costalg.UnionNoPipe", "costalg.IntersectNoPipe", "costalg.DiffNoPipe", "costalg.MergesortNoPipe", "costalg.QuicksortNoPipe", "costalg.T26BulkInsertNoPipe"},
 	"split":             {"paralg.RConfig.Split", "paralg.RConfig.SplitRanges"},
-	"prodcons":          {"costalg.Produce", "costalg.Consume", "paralg.Produce", "paralg.Consume"},
+	"prodcons":          {"costalg.Produce", "costalg.Consume", "paralg.RConfig.Produce", "paralg.RConfig.Consume"},
 	"snapshot":          {"costalg.CollectKeys", "paralg.RSnapshotKeys"},
 }
 

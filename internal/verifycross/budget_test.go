@@ -261,6 +261,51 @@ var notCoarsened = map[string]func(cfg paralg.RConfig, r paralg.Runtime) []int{
 		out := cfg.T26BulkInsert(nil, paralg.RFromSeqT26(r, base), levels)
 		return t26.Keys(paralg.RToSeqT26(out))
 	},
+	"Mergesort": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		return seqtree.Keys(paralg.RToSeqTree(cfg.Mergesort(nil, listInput())))
+	},
+	"MergeBalanced": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		a, b := treeInput(r, 0), treeInput(r, 1)
+		return seqtree.Keys(paralg.RToSeqTree(cfg.MergeBalanced(nil, a, b, 2*len(listInput()))))
+	},
+	"Annotate": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		return sizedKeys(cfg.Annotate(nil, treeInput(r, 0)))
+	},
+	"Rebalance": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		out := cfg.Rebalance(nil, cfg.Annotate(nil, treeInput(r, 0)), len(listInput()))
+		return seqtree.Keys(paralg.RToSeqTree(out))
+	},
+	"Quicksort": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		return paralg.RToSlice(cfg.Quicksort(nil, paralg.RFromSlice(r, listInput()), paralg.RFromSlice(r, nil)))
+	},
+	"Produce": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		return paralg.RToSlice(cfg.Produce(nil, 200, 8))
+	},
+	"Consume": func(cfg paralg.RConfig, r paralg.Runtime) []int {
+		return []int{int(cfg.Consume(nil, paralg.RFromSlice(r, listInput())).Read())}
+	},
+}
+
+// listInput is a shuffled key list for the list and sorting entries.
+func listInput() []int { return workload.NewRNG(47).Perm(200) }
+
+// treeInput is a balanced BST over the keys 2i+half (i < 200), so the
+// trees for half 0 and 1 have disjoint keys.
+func treeInput(r paralg.Runtime, half int) paralg.NodeCell {
+	keys := make([]int, 200)
+	for i := range keys {
+		keys[i] = 2*i + half
+	}
+	return paralg.RFromSeqTree(r, seqtree.FromSortedBalanced(keys))
+}
+
+// sizedKeys reads a size-annotated tree's keys in order.
+func sizedKeys(t paralg.Cell[*paralg.RSNode]) []int {
+	n := t.Read()
+	if n == nil {
+		return nil
+	}
+	return append(append(sizedKeys(n.Left), n.Key), sizedKeys(n.Right)...)
 }
 
 func t26Inputs() (*t26.Node, [][]int) {

@@ -70,7 +70,7 @@ func loadStatic(t *testing.T, name string) *staticPkg {
 }
 
 // entry finds the function named by spec: "Merge" for a package-level
-// function, "Config.Merge" for a method.
+// function, "RConfig.Merge" for a method.
 func (sp *staticPkg) entry(t *testing.T, spec string) *ssa.Func {
 	t.Helper()
 	recv, name := "", spec
@@ -166,7 +166,7 @@ func record(run func(ctx *core.Ctx, eng *core.Engine)) *trace.Trace {
 // the costalg functions it actually runs plus their paralg twins.
 type algCase struct {
 	name    string
-	entries []string // "costalg.Merge", "paralg.Config.Merge", ...
+	entries []string // "costalg.Merge", ...
 	run     func(ctx *core.Ctx, eng *core.Engine)
 }
 
@@ -175,7 +175,7 @@ const algN = 96
 var algCases = []algCase{
 	{
 		name:    "merge",
-		entries: []string{"costalg.Merge", "costalg.Split", "costalg.SplitSeq", "paralg.Config.Merge", "paralg.RConfig.Merge"},
+		entries: []string{"costalg.Merge", "costalg.Split", "costalg.SplitSeq", "paralg.RConfig.Merge"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.DisjointKeySets(rng, algN, algN)
@@ -189,7 +189,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "union",
-		entries: []string{"costalg.Union", "costalg.SplitM", "costalg.SplitMSeq", "paralg.Config.Union", "paralg.RConfig.Union"},
+		entries: []string{"costalg.Union", "costalg.SplitM", "costalg.SplitMSeq", "paralg.RConfig.Union"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.OverlappingKeySets(rng, algN, algN, 0.3)
@@ -201,7 +201,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "intersect",
-		entries: []string{"costalg.Intersect", "paralg.Config.Intersect", "paralg.RConfig.Intersect"},
+		entries: []string{"costalg.Intersect", "paralg.RConfig.Intersect"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.OverlappingKeySets(rng, algN, algN, 0.5)
@@ -213,7 +213,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "diff",
-		entries: []string{"costalg.Diff", "paralg.Config.Diff", "paralg.RConfig.Diff"},
+		entries: []string{"costalg.Diff", "paralg.RConfig.Diff"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.OverlappingKeySets(rng, algN, algN, 0.5)
@@ -225,7 +225,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "join",
-		entries: []string{"costalg.Join", "paralg.Config.Join", "paralg.RConfig.Join"},
+		entries: []string{"costalg.Join", "paralg.RConfig.Join"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.DisjointKeySets(rng, algN, algN)
@@ -237,7 +237,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "buildtreap",
-		entries: []string{"costalg.BuildTreap", "costalg.InsertKeys", "costalg.DeleteKeys", "paralg.Config.BuildTreap", "paralg.Config.InsertKeys", "paralg.Config.DeleteKeys", "paralg.RConfig.BuildTreap", "paralg.RConfig.InsertKeys", "paralg.RConfig.DeleteKeys"},
+		entries: []string{"costalg.BuildTreap", "costalg.InsertKeys", "costalg.DeleteKeys", "paralg.RConfig.BuildTreap", "paralg.RConfig.InsertKeys", "paralg.RConfig.DeleteKeys"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			keys, extra := workload.DisjointKeySets(rng, algN, algN/2)
@@ -249,7 +249,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "mergesort",
-		entries: []string{"costalg.Mergesort", "paralg.Config.Mergesort"},
+		entries: []string{"costalg.Mergesort", "paralg.RConfig.Mergesort"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			r := costalg.Mergesort(ctx, rng.Perm(algN))
@@ -267,7 +267,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "quicksort",
-		entries: []string{"costalg.Quicksort", "costalg.PartitionF", "paralg.Config.Quicksort"},
+		entries: []string{"costalg.Quicksort", "costalg.PartitionF", "paralg.RConfig.Quicksort"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			r := costalg.Quicksort(ctx, costalg.FromSlice(eng, rng.Perm(algN)),
@@ -277,7 +277,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "rebalance",
-		entries: []string{"costalg.Annotate", "costalg.Rebalance", "costalg.SplitRank", "paralg.Config.Annotate", "paralg.Config.Rebalance"},
+		entries: []string{"costalg.Annotate", "costalg.Rebalance", "costalg.SplitRank", "paralg.RConfig.Annotate", "paralg.RConfig.Rebalance"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, _ := workload.DisjointKeySets(rng, algN, 1)
@@ -289,7 +289,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "mergebalanced",
-		entries: []string{"costalg.MergeBalanced", "paralg.Config.MergeBalanced"},
+		entries: []string{"costalg.MergeBalanced", "paralg.RConfig.MergeBalanced"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			ka, kb := workload.DisjointKeySets(rng, algN, algN)
@@ -304,7 +304,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "t26",
-		entries: []string{"costalg.T26Insert", "costalg.T26BulkInsert", "paralg.Config.T26Insert", "paralg.Config.T26BulkInsert", "paralg.RConfig.T26Insert", "paralg.RConfig.T26BulkInsert"},
+		entries: []string{"costalg.T26Insert", "costalg.T26BulkInsert", "paralg.RConfig.T26Insert", "paralg.RConfig.T26BulkInsert"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			rng := workload.NewRNG(7)
 			all := workload.DistinctKeys(rng, 2*algN, 8*algN)
@@ -377,7 +377,7 @@ var algCases = []algCase{
 	},
 	{
 		name:    "prodcons",
-		entries: []string{"costalg.Produce", "costalg.Consume", "paralg.Produce", "paralg.Consume"},
+		entries: []string{"costalg.Produce", "costalg.Consume", "paralg.RConfig.Produce", "paralg.RConfig.Consume"},
 		run: func(ctx *core.Ctx, eng *core.Engine) {
 			costalg.Consume(ctx, costalg.Produce(ctx, algN))
 		},
@@ -447,9 +447,7 @@ func TestStaticDynamicLinearityAgreement(t *testing.T) {
 	// Every exported algorithm entry point in both packages must appear in
 	// some case above, so new algorithms cannot silently skip the harness.
 	// In costalg an algorithm is an exported function taking a *core.Ctx;
-	// in paralg it is an exported Config or RConfig method (the latter the
-	// runtime-portable ports that run on package sched) plus
-	// Produce/Consume, which the prodcons case lists explicitly.
+	// in paralg it is an exported RConfig method.
 	t.Run("coverage", func(t *testing.T) {
 		for pkgName, sp := range pkgs {
 			for _, fn := range sp.prog.Funcs {
@@ -466,8 +464,7 @@ func TestStaticDynamicLinearityAgreement(t *testing.T) {
 					if r != nil {
 						rn = recvName(r.Type())
 					}
-					isAlg = rn == "Config" || rn == "RConfig" ||
-						fn.Obj.Name() == "Produce" || fn.Obj.Name() == "Consume"
+					isAlg = rn == "RConfig"
 				}
 				if !isAlg {
 					continue // converters, waiters, completion-time readers
@@ -482,7 +479,7 @@ func TestStaticDynamicLinearityAgreement(t *testing.T) {
 }
 
 // specName renders fn the way algCase entries name it: "Merge" for a
-// package-level function, "Config.Merge" for a method.
+// package-level function, "RConfig.Merge" for a method.
 func specName(fn *ssa.Func) string {
 	if r := fn.Sig.Recv(); r != nil {
 		return recvName(r.Type()) + "." + fn.Obj.Name()
@@ -492,7 +489,7 @@ func specName(fn *ssa.Func) string {
 
 // usesCtx reports whether sig takes a *core.Ctx — the signature shape of
 // every traceable algorithm entry point (converters take an Engine, and
-// paralg methods carry the context in the receiver's goroutines).
+// paralg methods take a paralg.Ctx instead).
 func usesCtx(sig *types.Signature) bool {
 	params := sig.Params()
 	for i := 0; i < params.Len(); i++ {

@@ -30,9 +30,9 @@ type Set struct {
 }
 
 // defaultRCfg is the goroutine-runtime configuration NewSet uses,
-// mirroring paralg.DefaultConfig's grain bound.
+// with paralg's default grain bound.
 func defaultRCfg() paralg.RConfig {
-	return paralg.RConfig{R: paralg.GoRuntime{}, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
+	return paralg.RConfig{R: paralg.GoRuntime{}, SpawnDepth: paralg.DefaultSpawnDepth}
 }
 
 // NewSet returns the set of the given keys (duplicates are fine).
@@ -179,7 +179,7 @@ func NewPool(p int) *Pool {
 		p = runtime.GOMAXPROCS(0)
 	}
 	rt := paralg.NewSchedRuntime(p)
-	return &Pool{rt: rt, cfg: paralg.RConfig{R: rt, SpawnDepth: paralg.DefaultConfig.SpawnDepth}}
+	return &Pool{rt: rt, cfg: paralg.RConfig{R: rt, SpawnDepth: paralg.DefaultSpawnDepth}}
 }
 
 // NewSet returns the set of the given keys, materialized immediately.
@@ -205,7 +205,7 @@ func Sort(xs []int) []int {
 	if len(xs) == 0 {
 		return nil
 	}
-	t := paralg.DefaultConfig.Mergesort(xs)
+	t := defaultRCfg().Mergesort(nil, xs)
 	out := keysOf(t)
 	// Mergesort keeps duplicates adjacent but a Set would not; dedupe to
 	// match the documented contract.
@@ -218,10 +218,10 @@ func Sort(xs []int) []int {
 	return dst
 }
 
-func keysOf(t paralg.Tree) []int {
+func keysOf(t paralg.NodeCell) []int {
 	var out []int
-	var walk func(t paralg.Tree)
-	walk = func(t paralg.Tree) {
+	var walk func(t paralg.NodeCell)
+	walk = func(t paralg.NodeCell) {
 		n := t.Read()
 		if n == nil {
 			return
